@@ -2,10 +2,10 @@
 
 Rules with n nodes and prescribed degree of exactness n-1-m are built from
 a measure's recurrence coefficients plus m free tail coefficients and a
-unimodular boundary parameter; nodes and weights come with three
-independent evaluation routes, a full validation layer (exactness,
-orthogonality, zero separation, interlacing, weight asymptotics), and a
-transfer to Gauss/Radau/Lobatto-type rules on [-1, 1].
+unimodular boundary parameter. The weights are Christoffel numbers,
+cross-checked by three independent formulas. A validation layer (exactness,
+orthogonality, zero separation, interlacing, weight asymptotics) and a
+transfer to Gauss/Radau/Lobatto-type rules on [-1, 1] come with them.
 """
 
 from . import errors
@@ -32,6 +32,7 @@ from .measures import (
 )
 from .opuc_core import (
     EvalBundle,
+    christoffel_weights,
     inverse_szego,
     moments_from_alphas,
     reversed_poly,

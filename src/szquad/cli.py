@@ -122,7 +122,6 @@ def cmd_generate(args):
     else:
         payload = rule.to_dict()
         payload["precise_degree"] = report.precise_degree
-        payload["seed"] = args.seed
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -192,18 +191,13 @@ def cmd_sweep(args):
     if len(tail) != args.m:
         raise SzquadError(f"tail length must equal m: got {len(tail)}, m={args.m}")
     eta, _ = parse_eta(args.eta)
-    reports = validation.asymptotic_report(
-        measure, n_list, m_of_n=args.m,
-        tail_of=(lambda n, m: tail) if args.m else None,
-        eta=eta,
-    )
+    reports = validation.asymptotic_report(measure, n_list, m=args.m, tail=tail, eta=eta)
     lines = ["n,max_asym_dev,precise_degree"]
     devs = []
     for rep in reports:
-        rule = rulegen.generate_rule(measure, rep.n, rep.m, tail, eta=eta)
         c = measures.moments(measure, rep.n)
-        ex = validation.check_exactness(rule, c, rep.n,
-                                        tol=exactness_tol(args, rule, c))
+        ex = validation.check_exactness(rep.rule, c, rep.n,
+                                        tol=exactness_tol(args, rep.rule, c))
         lines.append(f"{rep.n},{fmt(rep.max_deviation)},{ex.precise_degree}")
         devs.append(rep.max_deviation)
     decreasing = all(b <= a + 1e-15 for a, b in zip(devs, devs[1:]))
@@ -239,7 +233,6 @@ def build_parser():
         p.add_argument("--config", default=None,
                        help="JSON file with option defaults; flags override it")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="recorded in artifacts")
         p.add_argument("--tol", type=float, default=None,
                        help="exactness tolerance (overrides SZQ_TOL and the default)")
 
@@ -274,7 +267,7 @@ def build_parser():
 
 
 _CONFIG_KEYS = {"measure", "n", "m", "tail", "eta", "format", "k-probe",
-                "n-list", "rule", "output", "seed", "tol"}
+                "n-list", "rule", "output", "tol"}
 
 
 def _apply_config(argv):

@@ -53,18 +53,28 @@ def as_verblunsky(alphas):
     return a
 
 
-# Pointwise values of the four recurrence polynomials at one or many z
-# (scalars or arrays, matching the input); dphi/dphi_star are d/dz values,
-# populated only when derivatives are requested.
+def _szego_step(zphi, phi_star, a):
+    """One Szego step: (z*Phi_k, Phi*_k) -> (Phi_{k+1}, Phi*_{k+1}) for a_k = a.
+
+    The one place the recurrence is written. Its arguments may be point
+    values, derivative values or coefficient vectors; the second kind is the
+    same step with -a.
+    """
+    return zphi - a * phi_star, phi_star - np.conj(a) * zphi
+
+
+# Pointwise values of Phi_n and Phi*_n at one or many z (scalars or arrays,
+# matching the input); dphi/dphi_star are d/dz values, populated only when
+# derivatives are requested. Psi_n, Psi*_n are the fields of szego_eval(-a, z).
 EvalBundle = namedtuple(
     "EvalBundle",
-    ["phi", "phi_star", "psi", "psi_star", "dphi", "dphi_star"],
+    ["phi", "phi_star", "dphi", "dphi_star"],
     defaults=(None, None),
 )
 
 
 def szego_eval(alphas, z, with_derivatives=False):
-    """Run the coupled first/second-kind recurrence at the point(s) z.
+    """Run the first-kind recurrence at the point(s) z.
 
     `z` may be a scalar or an ndarray; outputs broadcast accordingly.
     Derivatives come from the differentiated recurrence, never finite
@@ -72,34 +82,46 @@ def szego_eval(alphas, z, with_derivatives=False):
     """
     a = as_verblunsky(alphas)
     zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
 
     phi = np.ones_like(zz)
     phi_star = np.ones_like(zz)
-    psi = np.ones_like(zz)
-    psi_star = np.ones_like(zz)
+    dphi = dphi_star = None
     if with_derivatives:
         dphi = np.zeros_like(zz)
         dphi_star = np.zeros_like(zz)
 
     for ak in a:
         if with_derivatives:
-            inner = phi + zz * dphi
-            dphi_new = inner - ak * dphi_star
-            dphi_star = dphi_star - np.conj(ak) * inner
-            dphi = dphi_new
-        phi_new = zz * phi - ak * phi_star
-        phi_star = phi_star - np.conj(ak) * zz * phi
-        psi_new = zz * psi + ak * psi_star
-        psi_star = psi_star + np.conj(ak) * zz * psi
-        phi, psi = phi_new, psi_new
+            # d/dz of z*Phi_k is Phi_k + z*Phi_k'
+            dphi, dphi_star = _szego_step(phi + zz * dphi, dphi_star, ak)
+        phi, phi_star = _szego_step(zz * phi, phi_star, ak)
 
-    if not with_derivatives:
-        dphi = dphi_star = None
-    if scalar:
+    if zz.ndim == 0:
         return EvalBundle(*(None if v is None else complex(v)
-                            for v in (phi, phi_star, psi, psi_star, dphi, dphi_star)))
-    return EvalBundle(phi, phi_star, psi, psi_star, dphi, dphi_star)
+                            for v in (phi, phi_star, dphi, dphi_star)))
+    return EvalBundle(phi, phi_star, dphi, dphi_star)
+
+
+def christoffel_weights(alphas, z):
+    """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas).
+
+    phi_k = Phi_k / prod_{j<k} (1 - |a_j|^2)^(1/2) are the orthonormal
+    polynomials. At the N+1 zeros of a para-orthogonal polynomial built from
+    `alphas` these are the weights of its Szego rule (Jones, Njastad &
+    Thron, Bull. LMS 21, 1989): a sum of positive terms, so positive by
+    construction.
+    """
+    a = as_verblunsky(alphas)
+    zz = np.asarray(z, dtype=complex)
+    phi = np.ones_like(zz)
+    phi_star = np.ones_like(zz)
+    total = np.ones(zz.shape)
+    for ak in a:
+        phi, phi_star = _szego_step(zz * phi, phi_star, ak)
+        norm = np.sqrt(1.0 - abs(ak) ** 2)
+        phi, phi_star = phi / norm, phi_star / norm
+        total += np.abs(phi) ** 2
+    return 1.0 / total
 
 
 def _shift(p):
@@ -110,18 +132,10 @@ def _shift(p):
 def szego_coeffs(alphas):
     """Coefficient vectors (ascending) of Phi_n, Phi*_n, Psi_n, Psi*_n."""
     a = as_verblunsky(alphas)
-    phi = np.array([1.0 + 0.0j])
-    phi_star = np.array([1.0 + 0.0j])
-    psi = np.array([1.0 + 0.0j])
-    psi_star = np.array([1.0 + 0.0j])
+    phi = phi_star = psi = psi_star = np.array([1.0 + 0.0j])
     for ak in a:
-        zphi = _shift(phi)
-        zpsi = _shift(psi)
-        phi_new = zphi - ak * np.pad(phi_star, (0, 1))
-        phi_star = np.pad(phi_star, (0, 1)) - np.conj(ak) * zphi
-        psi_new = zpsi + ak * np.pad(psi_star, (0, 1))
-        psi_star = np.pad(psi_star, (0, 1)) + np.conj(ak) * zpsi
-        phi, psi = phi_new, psi_new
+        phi, phi_star = _szego_step(_shift(phi), np.pad(phi_star, (0, 1)), ak)
+        psi, psi_star = _szego_step(_shift(psi), np.pad(psi_star, (0, 1)), -ak)
     return phi, phi_star, psi, psi_star
 
 
@@ -149,9 +163,10 @@ def wronskian_residual(alphas, z):
     """
     a = as_verblunsky(alphas)
     b = szego_eval(a, z)
+    s = szego_eval(-a, z)
     kn = szego_constant(a)
     zz = np.asarray(z, dtype=complex)
-    res = np.abs(np.asarray(b.phi) * b.psi_star + np.asarray(b.psi) * b.phi_star
+    res = np.abs(np.asarray(b.phi) * s.phi_star + np.asarray(s.phi) * b.phi_star
                  - kn * zz ** len(a))
     return float(res) if res.ndim == 0 else res
 
@@ -225,10 +240,7 @@ def verblunsky_from_moments(c, n):
                 f"extracted |a_{k}| = {abs(ak):.17g} >= 1; moment matrix not positive definite"
             )
         out[k] = ak
-        zphi = _shift(phi)
-        phi_new = zphi - ak * np.pad(phi_star, (0, 1))
-        phi_star = np.pad(phi_star, (0, 1)) - np.conj(ak) * zphi
-        phi = phi_new
+        phi, phi_star = _szego_step(_shift(phi), np.pad(phi_star, (0, 1)), ak)
     return out
 
 
@@ -246,10 +258,7 @@ def moments_from_alphas(alphas, n):
     c[0] = 1.0
     for k in range(1, n + 1):
         ak = a[k - 1] if k - 1 < len(a) else 0.0
-        zphi = _shift(phi)
-        phi_new = zphi - ak * np.pad(phi_star, (0, 1))
-        phi_star = np.pad(phi_star, (0, 1)) - np.conj(ak) * zphi
-        phi = phi_new
+        phi, phi_star = _szego_step(_shift(phi), np.pad(phi_star, (0, 1)), ak)
         # Phi_k is monic and orthogonal to 1: sum_j phi_j conj(c_j) = 0
         c[k] = np.conj(-np.sum(phi[:-1] * np.conj(c[:k])))
     return c

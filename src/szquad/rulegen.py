@@ -13,8 +13,9 @@ bisection on the (strictly increasing) argument of the Blaschke quotient
 
     theta(phi) = arg(q_m/q_m*) + arg(z*Phi_{n-m-1}/Phi*_{n-m-1}),  z = e^{i phi},
 
-whose total increase over a full turn is exactly 2*pi*n. Weights are
-computed by three independent formulas for cross-validation.
+whose total increase over a full turn is exactly 2*pi*n. The weights are
+the Christoffel numbers of the concatenated sequence at the nodes; the
+second-kind, split-form and least-squares formulas here cross-check them.
 """
 
 import warnings
@@ -31,7 +32,13 @@ from .errors import (
     NodeCountError,
     PositivityViolationError,
 )
-from .opuc_core import as_verblunsky, szego_coeffs, szego_constant, szego_eval
+from .opuc_core import (
+    as_verblunsky,
+    christoffel_weights,
+    szego_coeffs,
+    szego_constant,
+    szego_eval,
+)
 
 P = np.polynomial.polynomial
 
@@ -320,10 +327,13 @@ def _real_positive(mu, what, rel_imag=0.0):
 
 
 def weights_second_kind(spec, nodes):
-    """mu_s = (z*Psi~ - eta*Psi~*)(z_s) / (2 z_s (z*Phi~ + eta*Phi~*)'(z_s))."""
+    """mu_s = (z*Psi~ - eta*Psi~*)(z_s) / (2 z_s (z*Phi~ + eta*Phi~*)'(z_s)),
+    with Psi~ the first-kind polynomial of the negated sequence."""
     z = np.exp(1j * np.asarray(nodes, dtype=float))
-    eb = szego_eval(build_modified_sequence(spec), z, with_derivatives=True)
-    num = z * eb.psi - spec.eta * eb.psi_star
+    modified = build_modified_sequence(spec)
+    eb = szego_eval(modified, z, with_derivatives=True)
+    sb = szego_eval(-modified, z)
+    num = z * sb.phi - spec.eta * sb.phi_star
     den = eb.phi + z * eb.dphi + spec.eta * eb.dphi_star
     return _real_positive(num / (2.0 * z * den), "second-kind weight formula")
 
@@ -479,7 +489,7 @@ def generate_rule(measure, n, m, tail=(), eta=1.0, node_at=None):
         eta = eta_for_node_at(base, np.asarray(tail, dtype=complex), n, m, node_at)
     spec = ParaOrthogonalSpec(base, tail, eta, n, m)
     nodes = find_nodes(spec)
-    weights = weights_second_kind(spec, nodes)
+    weights = christoffel_weights(build_modified_sequence(spec), np.exp(1j * nodes))
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-12:
         raise PositivityViolationError(f"weights sum to {total:.17g}")

@@ -279,8 +279,6 @@ class SFunctionTrace:
     s_values: np.ndarray        # kernel-transform values S(psi)
     r_values: np.ndarray        # rational-expansion values R(psi)
     t_values: np.ndarray        # nodes polynomial T(psi)
-    tau: np.ndarray             # e^{i n psi / 2} T(psi)
-    omega: np.ndarray           # i e^{i n psi / 2} S(psi)
     max_s_minus_r: float
     weight_residual: float      # max_s |mu_s + S(phi_s)/(2 T'(phi_s))|
     s_zeros: np.ndarray
@@ -405,11 +403,9 @@ def s_function(rule, measure, samples=None):
     if not sign_consistent:
         violations += 1
 
-    tau = np.exp(0.5j * n * psi) * t_vals
-    omega = 1j * np.exp(0.5j * n * psi) * s_vals
     return SFunctionTrace(
         psi=psi, s_values=s_vals, r_values=r_vals, t_values=t_vals,
-        tau=tau, omega=omega, max_s_minus_r=max_sr, weight_residual=w_resid,
+        max_s_minus_r=max_sr, weight_residual=w_resid,
         s_zeros=zeros, arc_counts=tuple(arc_counts), sign_case=sgn,
         sign_consistent=sign_consistent, interlacing_violations=int(violations),
         skipped=tuple(skipped),
@@ -559,27 +555,24 @@ def check_interlacing(rule, measure, l, kappa):
 class AsymptoticReport:
     n: int
     m: int
-    nodes: np.ndarray
+    rule: QuadratureRule         # the rule the deviation was measured on
     inv_n_mu: np.ndarray         # 1/(n mu_s)
     f_values: np.ndarray         # density at the nodes
     g_values: np.ndarray         # finite-n tail factor 1 - (2/n) Re{z q_m*'/q_m*}
-    max_deviation: float         # max |1/(n mu_s) - g/f| over the window,
+    max_deviation: float         # max |1/(n mu_s) - g/f| over the nodes,
                                  # including the O(k/n) Christoffel term
-    note: str = ""
 
     def to_record(self):
         return {"n": int(self.n), "max_asym_dev": float(self.max_deviation)}
 
 
-def asymptotic_report(measure, n_list, m_of_n=None, tail_of=None, eta=1.0, window=None):
+def asymptotic_report(measure, n_list, m=0, tail=(), eta=1.0):
     """Per-n comparison of 1/(n mu_s) against g_n(phi_s)/f(phi_s).
 
-    m_of_n may be None (m = 0), an int, a dict, or a callable n -> m;
-    tail_of, when needed, is a callable (n, m) -> tail sequence. window,
-    if given, restricts the reported maximum to nodes in [window[0], window[1]].
-    The finite-n factor g substitutes for the limit the theory assumes. For
-    m = 0, g is identically 1, and the finite-n deviation is the measure's
-    own Christoffel term: with mu_s = 1 / sum_{j<n} |phi_j(z_s)|^2, a degree-1
+    Every n uses the same m and the same m tail coefficients. The finite-n
+    factor g substitutes for the limit the theory assumes. For m = 0, g is
+    identically 1, and the finite-n deviation is the measure's own
+    Christoffel term: with mu_s = 1 / sum_{j<n} |phi_j(z_s)|^2, a degree-1
     Bernstein-Szego measure gives exactly (1 - 1/f)/n at each node, and a
     degree-k one gives O(k/n). For m > 0 the deviation also holds the
     g_n - g gap.
@@ -587,19 +580,8 @@ def asymptotic_report(measure, n_list, m_of_n=None, tail_of=None, eta=1.0, windo
     if not measures.has_density(measure):
         raise UnsupportedVariantError("asymptotics need a measure with a pointwise density")
 
-    def m_for(n):
-        if m_of_n is None:
-            return 0
-        if callable(m_of_n):
-            return int(m_of_n(n))
-        if isinstance(m_of_n, dict):
-            return int(m_of_n.get(n, 0))
-        return int(m_of_n)
-
     reports = []
     for n in n_list:
-        m = m_for(n)
-        tail = tuple(tail_of(n, m)) if (tail_of is not None and m > 0) else ()
         rule = generate_rule(measure, n, m, tail, eta)
         z = np.exp(1j * rule.nodes)
         f_vals = np.asarray(measures.density_eval(measure, rule.nodes), dtype=float)
@@ -607,16 +589,9 @@ def asymptotic_report(measure, n_list, m_of_n=None, tail_of=None, eta=1.0, windo
         qb = szego_eval(beta, z, with_derivatives=True)
         g_vals = 1.0 - (2.0 / n) * (z * qb.dphi_star / qb.phi_star).real
         inv = 1.0 / (n * rule.weights)
-        dev = np.abs(inv - g_vals / f_vals)
-        if window is not None:
-            lo, hi = window
-            sel = (rule.nodes >= lo) & (rule.nodes <= hi)
-            dev = dev[sel] if np.any(sel) else dev[:0]
-        max_dev = float(np.max(dev)) if len(dev) else 0.0
         reports.append(AsymptoticReport(
-            n=n, m=m, nodes=rule.nodes, inv_n_mu=inv, f_values=f_vals,
-            g_values=g_vals, max_deviation=max_dev,
-            note="finite-n tail factor used in place of its limit",
+            n=n, m=m, rule=rule, inv_n_mu=inv, f_values=f_vals, g_values=g_vals,
+            max_deviation=float(np.max(np.abs(inv - g_vals / f_vals))),
         ))
     return reports
 

@@ -18,23 +18,26 @@ P = np.polynomial.polynomial
 
 def test_eval_empty_sequence():
     b = sq.szego_eval([], 0.3 + 0.4j)
-    assert b.phi == 1 and b.phi_star == 1 and b.psi == 1 and b.psi_star == 1
+    s = sq.szego_eval(-np.array([]), 0.3 + 0.4j)
+    assert b.phi == 1 and b.phi_star == 1 and s.phi == 1 and s.phi_star == 1
 
 
 def test_eval_zero_coefficients():
     b = sq.szego_eval([0, 0, 0], 1j)
+    s = sq.szego_eval(-np.array([0, 0, 0]), 1j)
     assert b.phi == pytest.approx(-1j)
     assert b.phi_star == 1
-    assert b.psi == pytest.approx(-1j)
-    assert b.psi_star == 1
+    assert s.phi == pytest.approx(-1j)
+    assert s.phi_star == 1
 
 
 def test_eval_single_coefficient():
     b = sq.szego_eval([0.5], 1.0)
+    s = sq.szego_eval(-np.array([0.5]), 1.0)
     assert b.phi == pytest.approx(0.5)
     assert b.phi_star == pytest.approx(0.5)
-    assert b.psi == pytest.approx(1.5)
-    assert b.psi_star == pytest.approx(1.5)
+    assert s.phi == pytest.approx(1.5)
+    assert s.phi_star == pytest.approx(1.5)
 
 
 def test_eval_rejects_unit_modulus_coefficient():
@@ -71,11 +74,12 @@ def test_coeffs_consistent_with_eval(rng, n):
     phi, phi_star, psi, psi_star = sq.szego_coeffs(alphas)
     zs = np.exp(1j * rng.uniform(0, 2 * np.pi, 20)) * rng.uniform(0.5, 1.2, 20)
     b = sq.szego_eval(alphas, zs)
+    s = sq.szego_eval(-alphas, zs)
     scale = np.abs(P.polyval(zs, phi)) + 1.0
     assert np.max(np.abs(P.polyval(zs, phi) - b.phi) / scale) < 1e-12
     assert np.max(np.abs(P.polyval(zs, phi_star) - b.phi_star) / scale) < 1e-12
-    assert np.max(np.abs(P.polyval(zs, psi) - b.psi) / scale) < 1e-12
-    assert np.max(np.abs(P.polyval(zs, psi_star) - b.psi_star) / scale) < 1e-12
+    assert np.max(np.abs(P.polyval(zs, psi) - s.phi) / scale) < 1e-12
+    assert np.max(np.abs(P.polyval(zs, psi_star) - s.phi_star) / scale) < 1e-12
 
 
 def test_derivatives_match_coefficient_route(rng):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,10 +144,39 @@ def test_triple_weight_agreement(rng):
         w_split = sq.weights_qm_formula(spec, nodes)
         c_mod = moments_from_alphas(build_modified_sequence(spec), max(n - 1, 0))
         w_lsq = sq.weights_vandermonde_oracle(nodes, c_mod, n - 1)
+        w_chr = sq.christoffel_weights(build_modified_sequence(spec), np.exp(1j * nodes))
         worst = max(worst,
                     np.max(np.abs(w_second - w_split) / w_second),
-                    np.max(np.abs(w_second - w_lsq) / w_second))
+                    np.max(np.abs(w_second - w_lsq) / w_second),
+                    np.max(np.abs(w_second - w_chr) / w_second))
     assert worst < 1e-9
+
+
+def _mp_christoffel(alphas, nodes, dps=40):
+    """1 / sum_{k<n} |phi_k(z_s)|^2 by the orthonormal recurrence in mpmath."""
+    with mpmath.workdps(dps):
+        out = []
+        for p in nodes:
+            z = mpmath.expj(mpmath.mpf(float(p)))
+            phi = phi_star = mpmath.mpc(1)
+            total = mpmath.mpf(1)
+            for a in alphas:
+                a = mpmath.mpc(complex(a))
+                norm = mpmath.sqrt(1 - abs(a) ** 2)
+                phi, phi_star = ((z * phi - a * phi_star) / norm,
+                                 (phi_star - mpmath.conj(a) * z * phi) / norm)
+                total += abs(phi) ** 2
+            out.append(float(1 / total))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("a, n", [(-0.4, 128), (0.4j, 64)])
+def test_geronimus_weights_off_real_eta(a, n):
+    # the second-kind formula returned rounding-level nonpositive weights here
+    measure = sq.Geronimus(a)
+    rule = sq.generate_rule(measure, n, 0, eta=1j)
+    ref = _mp_christoffel(sq.verblunsky_prefix(measure, n - 1), rule.nodes)
+    assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
 
 
 def test_vandermonde_reproduces_own_weights(rng):

@@ -226,8 +226,7 @@ def test_asymptotics_bernstein_szego_decreasing():
 
 def test_asymptotics_with_tail(rng):
     reports = sq.asymptotic_report(
-        sq.BernsteinSzego(0.5), [8, 16, 32, 64],
-        m_of_n=1, tail_of=lambda n, m: [0.3],
+        sq.BernsteinSzego(0.5), [8, 16, 32, 64], m=1, tail=[0.3],
     )
     devs = [rep.max_deviation for rep in reports]
     assert all(b < a for a, b in zip(devs, devs[1:]))
