@@ -190,7 +190,9 @@ def cmd_sweep(args):
     tail = parse_tail(args.tail)
     if len(tail) != args.m:
         raise SzquadError(f"tail length must equal m: got {len(tail)}, m={args.m}")
-    eta, _ = parse_eta(args.eta)
+    eta, node_at = parse_eta(args.eta)
+    if node_at is not None:
+        raise SzquadError("sweep takes an angle for --eta, not node-at")
     reports = validation.asymptotic_report(measure, n_list, m=args.m, tail=tail, eta=eta)
     lines = ["n,max_asym_dev,precise_degree"]
     devs = []
@@ -257,7 +259,7 @@ def build_parser():
     sw.add_argument("--n-list", required=True, help="comma-separated rule sizes")
     sw.add_argument("--m", type=int, default=0)
     sw.add_argument("--tail", nargs="*", default=[])
-    sw.add_argument("--eta", default="0.0turns")
+    sw.add_argument("--eta", default="0.0turns", help="angle (radians or turns)")
     common(sw)
 
     tr = sub.add_parser("transform", help="fold a symmetric rule onto [-1,1]")

@@ -145,6 +145,11 @@ class PhaseFunction:
     h = |v|/|v'| of v = z*q_m*Phi, which approximates the distance to the
     nearest zero and decays only linearly, so a spike cannot hide between
     sample points.
+
+    Refinement runs level by level from a 16n+1 seed grid: each pass tests
+    every interval, then halves all unresolved ones with one vectorized
+    probe. Whether an interval is resolved depends only on its endpoints,
+    so the breakpoints are those of a depth-first subdivision.
     """
 
     LIFT_MAX = 0.5 * np.pi
@@ -164,8 +169,7 @@ class PhaseFunction:
         qb = szego_eval(self._beta, z)
         num = z * qb.phi * eb.phi
         den = qb.phi_star * eb.phi_star
-        # arg(num/den) without the division; |den| is bounded away from 0
-        return np.angle(num * np.conj(den))
+        return np.angle(num / den)
 
     def _probe(self, phi):
         """Wrapped argument plus the root-distance gauge.
@@ -179,44 +183,32 @@ class PhaseFunction:
         qb = szego_eval(self._beta, z, with_derivatives=True)
         num = z * qb.phi * eb.phi
         den = qb.phi_star * eb.phi_star
-        w = np.angle(num * np.conj(den))
+        w = np.angle(num / den)
         with np.errstate(divide="ignore", invalid="ignore"):
             h_q = np.where(np.abs(qb.dphi) > 0, np.abs(qb.phi) / np.abs(qb.dphi), np.inf)
             h_p = np.where(np.abs(eb.dphi) > 0, np.abs(eb.phi) / np.abs(eb.dphi), np.inf)
         return w, np.minimum(h_q, h_p)
 
     def _build_table(self):
-        seeds = max(16, 16 * self.n)
-        grid = np.linspace(0.0, TWO_PI, seeds + 1)
-        wvals, hvals = self._probe(grid)
-        wvals = np.atleast_1d(wvals)
-        hvals = np.atleast_1d(hvals)
-        phis = [grid[0]]
-        thetas = [float(wvals[0])]
-        wlist = [float(wvals[0])]
-        stack = [(grid[i], float(wvals[i]), float(hvals[i]),
-                  grid[i + 1], float(wvals[i + 1]), float(hvals[i + 1]))
-                 for i in range(seeds - 1, -1, -1)]
-        while stack:
-            a, wa, ha, b, wb, hb = stack.pop()
-            width = b - a
-            delta = (wb - wa) % TWO_PI
+        phis = np.linspace(0.0, TWO_PI, max(16, 16 * self.n) + 1)
+        w, h = self._probe(phis)
+        while True:
+            width = np.diff(phis)
             # resolved: increment unambiguous AND no numerator zero close
             # enough to either endpoint to hide a full turn inside
-            resolved = delta < self.LIFT_MAX and \
-                min(ha, hb) >= self.GAUGE_SAFETY * width
-            if resolved or width < self.MIN_WIDTH:
-                phis.append(b)
-                thetas.append(thetas[-1] + delta)
-                wlist.append(wb)
-            else:
-                mid = 0.5 * (a + b)
-                wm, hm = self._probe(mid)
-                stack.append((mid, float(wm), float(hm), b, wb, hb))
-                stack.append((a, wa, ha, mid, float(wm), float(hm)))
-        self.phis = np.array(phis)
-        self.thetas = np.array(thetas)
-        self._wvals = np.array(wlist)
+            resolved = (np.diff(w) % TWO_PI < self.LIFT_MAX) & \
+                (np.minimum(h[:-1], h[1:]) >= self.GAUGE_SAFETY * width)
+            split = np.flatnonzero(~resolved & (width >= self.MIN_WIDTH))
+            if split.size == 0:
+                break
+            mid = 0.5 * (phis[split] + phis[split + 1])
+            wm, hm = self._probe(mid)
+            phis = np.insert(phis, split + 1, mid)
+            w = np.insert(w, split + 1, wm)
+            h = np.insert(h, split + 1, hm)
+        self.phis = phis
+        self.thetas = np.cumsum(np.concatenate(([w[0]], np.diff(w) % TWO_PI)))
+        self._wvals = w
 
     @property
     def total_increase(self):

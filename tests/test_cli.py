@@ -165,6 +165,13 @@ def test_sweep_rejects_momentless_measure(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_rejects_node_at_eta(capsys):
+    code, _, err = run_cli(
+        ["sweep", "--measure", "lebesgue", "--n-list", "4,8", "--eta", "node-at:0.1"], capsys)
+    assert code == 2
+    assert "sweep takes an angle for --eta, not node-at" in err
+
+
 # --- transform ------------------------------------------------------------------------
 
 def test_transform_lebesgue_four(tmp_path, capsys):

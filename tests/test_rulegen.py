@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ from szquad.errors import (
     PositivityViolationError,
 )
 from szquad.opuc_core import moments_from_alphas
-from szquad.rulegen import ParaOrthogonalSpec, build_modified_sequence, spec_for_rule
+from szquad.rulegen import (
+    TWO_PI,
+    ParaOrthogonalSpec,
+    PhaseFunction,
+    build_modified_sequence,
+    spec_for_rule,
+)
 
 from conftest import companion_nodes, random_rule_setup
 
@@ -179,6 +187,18 @@ def test_geronimus_weights_off_real_eta(a, n):
     assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
 
 
+def test_geronimus_far_from_circle_no_overflow():
+    # |Phi_1023| on the circle reaches 6.5e208: the old phase quotient
+    # num * conj(den) overflowed, and the table refined without end
+    measure = sq.Geronimus(-0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = sq.generate_rule(measure, 1024, 0)
+    sample = np.arange(0, 1024, 128)
+    ref = _mp_christoffel(sq.verblunsky_prefix(measure, 1023), rule.nodes[sample])
+    assert np.max(np.abs(rule.weights[sample] - ref) / ref) < 1e-12
+
+
 def test_vandermonde_reproduces_own_weights(rng):
     rule = sq.generate_rule(sq.BernsteinSzego(0.5), 6, 0)
     c = rule.moments(5)
@@ -277,6 +297,68 @@ def test_phase_function_callable_monotone(rng):
     assert np.allclose(pf(pf.phis), pf.thetas, atol=1e-9)
     # scalar call
     assert pf(1.0) == pytest.approx(pf(np.array([1.0]))[0])
+
+
+def _depth_first_table(pf):
+    """Breakpoints and unwrapped phase by the depth-first stack subdivision,
+    one scalar probe per refinement: the reference for the level-by-level
+    build."""
+    seeds = 16 * pf.n
+    grid = np.linspace(0.0, TWO_PI, seeds + 1)
+    wvals, hvals = pf._probe(grid)
+    phis = [grid[0]]
+    thetas = [float(wvals[0])]
+    stack = [(grid[i], float(wvals[i]), float(hvals[i]),
+              grid[i + 1], float(wvals[i + 1]), float(hvals[i + 1]))
+             for i in range(seeds - 1, -1, -1)]
+    while stack:
+        a, wa, ha, b, wb, hb = stack.pop()
+        width = b - a
+        delta = (wb - wa) % TWO_PI
+        resolved = delta < pf.LIFT_MAX and min(ha, hb) >= pf.GAUGE_SAFETY * width
+        if resolved or width < pf.MIN_WIDTH:
+            phis.append(b)
+            thetas.append(thetas[-1] + delta)
+        else:
+            mid = 0.5 * (a + b)
+            wm, hm = pf._probe(np.array([mid]))
+            stack.append((mid, float(wm[0]), float(hm[0]), b, wb, hb))
+            stack.append((a, wa, ha, mid, float(wm[0]), float(hm[0])))
+    return np.array(phis), np.array(thetas)
+
+
+_LOCALIZED = [
+    sq.Geronimus(-0.6),
+    sq.Geronimus(0.4j),
+    sq.ExplicitVerblunsky(
+        [complex(0.7 * np.exp(2j * np.pi * t)) for t in np.random.default_rng(0).random(16)]),
+]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("measure", _LOCALIZED)
+def test_phase_table_matches_depth_first(measure, n):
+    pf = PhaseFunction(spec_for_rule(measure, n, 0))
+    ref_phis, ref_thetas = _depth_first_table(pf)
+    assert len(pf.phis) > 16 * n + 1   # the table did refine
+    assert np.array_equal(pf.phis, ref_phis)
+    assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(ref_thetas[-1] - ref_thetas[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("measure", _LOCALIZED)
+def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
+    calls = []
+    probe = PhaseFunction._probe
+
+    def spy(self, phi):
+        calls.append(np.size(phi))
+        return probe(self, phi)
+
+    monkeypatch.setattr(PhaseFunction, "_probe", spy)
+    PhaseFunction(spec_for_rule(measure, n, 0))
+    levels = int(np.floor(np.log2(TWO_PI / (16 * n * PhaseFunction.MIN_WIDTH))))
+    assert len(calls) <= 2 + levels
 
 
 def test_vandermonde_lebesgue_uniform():
