@@ -102,6 +102,37 @@ def szego_eval(alphas, z, with_derivatives=False):
     return EvalBundle(phi, phi_star, dphi, dphi_star)
 
 
+def prufer_phase(alphas, phi):
+    """Lifted Prufer phase of B_N = z*Phi_N/Phi*_N at z = e^{i phi}, N = len(alphas).
+
+    On |z| = 1 the Blaschke factor B_k is unimodular and follows the Schur map
+
+        B_{k+1} = z (B_k - a_k) / (1 - conj(a_k) B_k),   B_0 = z,
+
+    so its continuous argument is
+
+        theta = (N+1) phi - 2 sum_k arg(1 - conj(a_k) B_k),
+
+    a sum of principal arguments (each factor has positive real part), with
+    theta(phi + 2pi) = theta(phi) + 2pi(N+1) exactly. The phi-derivative
+    S_k follows S_0 = 1, S_{k+1} = S_k (1 - |a_k|^2)/|1 - conj(a_k) B_k|^2 + 1
+    without overflow (Simon, OPUC, 2005: Pruefer variables). Returns
+    (theta, S, B_N) with the shape of phi.
+    """
+    a = as_verblunsky(alphas)
+    phi = np.asarray(phi, dtype=float)
+    z = np.exp(1j * phi)
+    b = z
+    dtheta = np.ones(phi.shape)
+    args = np.zeros(phi.shape)
+    for ak in a:
+        w = 1.0 - np.conj(ak) * b
+        args += np.arctan2(w.imag, w.real)
+        dtheta = dtheta * ((1.0 - abs(ak) ** 2) / (w.real ** 2 + w.imag ** 2)) + 1.0
+        b = z * (b - ak) / w
+    return (len(a) + 1) * phi - 2.0 * args, dtheta, b
+
+
 def christoffel_weights(alphas, z):
     """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas).
 

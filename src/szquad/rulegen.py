@@ -8,14 +8,17 @@ The nodes are the zeros of the para-orthogonal polynomial
     T_n(z) = z*Phi~_{n-1}(z) + eta*Phi~*_{n-1}(z),
 
 where Phi~_{n-1} comes from the concatenated coefficient sequence. All
-zeros are simple and lie on the unit circle, so they are located by
-bisection on the (strictly increasing) argument of the Blaschke quotient
+zeros are simple and lie on the unit circle, where they solve
 
-    theta(phi) = arg(q_m/q_m*) + arg(z*Phi_{n-m-1}/Phi*_{n-m-1}),  z = e^{i phi},
+    theta(phi) = arg(-eta) + 2*pi*j,   theta = arg(z*Phi~_{n-1}/Phi~*_{n-1}),  z = e^{i phi},
 
-whose total increase over a full turn is exactly 2*pi*n. The weights are
-the Christoffel numbers of the concatenated sequence at the nodes; the
-second-kind, split-form and least-squares formulas here cross-check them.
+for the lifted Prufer phase theta, strictly increasing with total increase
+2*pi*n over a full turn. They are found by Prufer phase + safeguarded
+Newton: one pass of the Schur map over a 2n+1 grid brackets every node,
+and Newton steps on theta, bisecting when a step leaves its bracket,
+converge the nodes still active. The weights are the Christoffel numbers
+of the concatenated sequence at the nodes; the second-kind, split-form and
+least-squares formulas here cross-check them.
 """
 
 import warnings
@@ -35,12 +38,11 @@ from .errors import (
 from .opuc_core import (
     as_verblunsky,
     christoffel_weights,
+    prufer_phase,
     szego_coeffs,
     szego_constant,
     szego_eval,
 )
-
-P = np.polynomial.polynomial
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,174 +134,118 @@ def nodes_polynomial(spec):
 
 
 class PhaseFunction:
-    """Unwrapped argument of z*q_m*Phi_{n-m-1} / (q_m**Phi*_{n-m-1}) on |z| = 1.
+    """Lifted Prufer phase theta(phi) of the nodes polynomial on |z| = 1.
 
-    Strictly increasing in phi with total increase 2*pi*n over a full turn.
-    Built as a breakpoint table with per-interval increments below pi/2 so
-    the wrapped argument can be lifted unambiguously anywhere in between.
-
-    Zeros of the numerator close to the circle concentrate almost a full
-    turn of phase in an angular window of the order of their distance to
-    the circle, which a wrapped increment cannot see (it aliases by 2*pi).
-    Subdivision is therefore also driven by the Newton-step gauge
-    h = |v|/|v'| of v = z*q_m*Phi, which approximates the distance to the
-    nearest zero and decays only linearly, so a spike cannot hide between
-    sample points.
-
-    Refinement runs level by level from a 16n+1 seed grid: each pass tests
-    every interval, then halves all unresolved ones with one vectorized
-    probe. Whether an interval is resolved depends only on its endpoints,
-    so the breakpoints are those of a depth-first subdivision.
+    theta is the continuous argument of z*Phi~_{n-1}/Phi~*_{n-1}, strictly
+    increasing with theta(phi + 2pi) = theta(phi) + 2pi*n; the nodes solve
+    theta(phi) = arg(-eta) + 2pi*j. One `prufer_phase` pass samples it on a
+    2n+1 grid, whose seam is rolled to the grid point with the smallest
+    theta': `phis` runs over one full turn from there and `thetas` holds
+    the phase at those points.
     """
-
-    LIFT_MAX = 0.5 * np.pi
-    MIN_WIDTH = 1e-12
-    GAUGE_SAFETY = 2.0
 
     def __init__(self, spec):
         self.n = spec.n
-        self._base = np.asarray(spec.base, dtype=complex)
-        self._beta = qm_recurrence_coeffs(spec.tail, spec.eta)
-        self._build_table()
-
-    def wrapped(self, phi):
-        """Principal-value argument in (-pi, pi]."""
-        z = np.exp(1j * np.asarray(phi, dtype=float))
-        eb = szego_eval(self._base, z)
-        qb = szego_eval(self._beta, z)
-        num = z * qb.phi * eb.phi
-        den = qb.phi_star * eb.phi_star
-        return np.angle(num / den)
-
-    def _probe(self, phi):
-        """Wrapped argument plus the root-distance gauge.
-
-        The gauge is the smaller of the per-factor Newton steps |q|/|q'| and
-        |Phi|/|Phi'|; keeping the factors separate avoids cancellation
-        between their logarithmic derivatives masking a nearby zero.
-        """
-        z = np.exp(1j * np.asarray(phi, dtype=float))
-        eb = szego_eval(self._base, z, with_derivatives=True)
-        qb = szego_eval(self._beta, z, with_derivatives=True)
-        num = z * qb.phi * eb.phi
-        den = qb.phi_star * eb.phi_star
-        w = np.angle(num / den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_q = np.where(np.abs(qb.dphi) > 0, np.abs(qb.phi) / np.abs(qb.dphi), np.inf)
-            h_p = np.where(np.abs(eb.dphi) > 0, np.abs(eb.phi) / np.abs(eb.dphi), np.inf)
-        return w, np.minimum(h_q, h_p)
-
-    def _build_table(self):
-        phis = np.linspace(0.0, TWO_PI, max(16, 16 * self.n) + 1)
-        w, h = self._probe(phis)
-        while True:
-            width = np.diff(phis)
-            # resolved: increment unambiguous AND no numerator zero close
-            # enough to either endpoint to hide a full turn inside
-            resolved = (np.diff(w) % TWO_PI < self.LIFT_MAX) & \
-                (np.minimum(h[:-1], h[1:]) >= self.GAUGE_SAFETY * width)
-            split = np.flatnonzero(~resolved & (width >= self.MIN_WIDTH))
-            if split.size == 0:
-                break
-            mid = 0.5 * (phis[split] + phis[split + 1])
-            wm, hm = self._probe(mid)
-            phis = np.insert(phis, split + 1, mid)
-            w = np.insert(w, split + 1, wm)
-            h = np.insert(h, split + 1, hm)
-        self.phis = phis
-        self.thetas = np.cumsum(np.concatenate(([w[0]], np.diff(w) % TWO_PI)))
-        self._wvals = w
+        self.alphas = build_modified_sequence(spec)
+        grid = np.linspace(0.0, TWO_PI, 2 * self.n + 1)
+        theta, dtheta, _ = prufer_phase(self.alphas, grid)
+        s = int(np.argmin(dtheta[:-1]))
+        self.phis = np.concatenate([grid[s:-1], grid[:s + 1] + TWO_PI])
+        self.thetas = np.concatenate([theta[s:-1], theta[:s + 1] + TWO_PI * self.n])
 
     @property
     def total_increase(self):
         return float(self.thetas[-1] - self.thetas[0])
 
     def __call__(self, phi):
-        """Unwrapped theta(phi) for phi in [0, 2*pi]."""
-        phi = np.asarray(phi, dtype=float)
-        scalar = phi.ndim == 0
-        idx = np.clip(np.searchsorted(self.phis, np.atleast_1d(phi), side="right") - 1,
-                      0, len(self.phis) - 2)
-        w = np.atleast_1d(self.wrapped(phi))
-        theta = self.thetas[idx] + (w - self._wvals[idx]) % TWO_PI
-        return float(theta[0]) if scalar else theta
+        """Lifted theta(phi) at any real phi."""
+        theta = prufer_phase(self.alphas, phi)[0]
+        return float(theta) if theta.ndim == 0 else theta
 
 
-def _real_form_eval(spec, phi):
-    """G(phi) = Re{eta^{-1/2} e^{-i n phi/2} T_n(e^{i phi})} and its phi-derivative.
+def node_errors(spec, nodes):
+    """Estimated angular error of each node and theta' there, from one pass.
 
-    G is (up to a constant) the product of sines vanishing exactly at the
-    nodes, so Newton steps on G polish bisection output.
+    The error is |arg(-B eta^{-1})| / theta', the Newton distance from the
+    node to the zero of the wrapped residual.
     """
-    z = np.exp(1j * np.asarray(phi, dtype=float))
-    eb = szego_eval(build_modified_sequence(spec), z, with_derivatives=True)
-    t_val = z * eb.phi + spec.eta * eb.phi_star
-    t_der = eb.phi + z * eb.dphi + spec.eta * eb.dphi_star
-    rot = np.exp(-0.5j * np.angle(spec.eta)) * np.exp(-0.5j * spec.n * np.asarray(phi))
-    g = (rot * t_val).real
-    gp = (rot * 1j * (z * t_der - 0.5 * spec.n * t_val)).real
-    return g, gp
+    _, dtheta, b = prufer_phase(build_modified_sequence(spec), nodes)
+    return np.abs(np.angle(-b * np.conj(spec.eta))) / dtheta, dtheta
 
 
-def find_nodes(spec, angle_tol=1e-13):
+# a node is accepted within this angle of its zero, by the Newton estimate
+NODE_TOL = 1e-12
+
+
+def _narrow(lo, hi):
+    """Brackets in [0, 2pi] at most 4 ulps wide."""
+    return hi - lo <= 4 * np.spacing(hi)
+
+
+def find_nodes(spec):
     """Locate the n zeros of the nodes polynomial on the unit circle.
 
-    Targets theta(phi) = arg(eta) + (2k+1)*pi are bracketed on the monotone
-    unwrapped phase, bisected to `angle_tol`, and polished by one or two
-    Newton steps on the real trigonometric form of T_n.
+    Prufer phase plus safeguarded Newton: the 2n+1 grid of `PhaseFunction`
+    brackets each target theta = arg(-eta) + 2pi*j, and Newton steps
+    phi <- phi - f/theta' run on the unconverged nodes only, bisecting
+    whenever a step leaves the bracket. The residual f is theta - target
+    until it is below pi/2, then the wrapped arg(-B eta^{-1}), which carries
+    no rounding from the lifted n*phi.
     """
-    pf = PhaseFunction(spec)
     n = spec.n
-    if abs(pf.total_increase - TWO_PI * n) > 1e-6:
-        raise InternalConsistencyError(
-            f"phase winding {pf.total_increase / TWO_PI:.6f} turns, expected {n}; "
-            "coefficients may be corrupted or too close to the unit circle"
-        )
-    theta0 = pf.thetas[0]
-    t_base = np.angle(spec.eta) + np.pi
-    k0 = int(np.ceil((theta0 - t_base) / TWO_PI - 1e-9))
-    targets = t_base + TWO_PI * (k0 + np.arange(n))
+    eta = spec.eta
+    pf = PhaseFunction(spec)
+    t0 = float(np.angle(-eta))
+    k0 = np.ceil((pf.thetas[0] - t0) / TWO_PI)
+    targets = t0 + TWO_PI * (k0 + np.arange(n))
+    idx = np.clip(np.searchsorted(pf.thetas, targets, side="right") - 1, 0, len(pf.phis) - 2)
+    lo, hi = pf.phis[idx], pf.phis[idx + 1]
+    th_lo, th_hi = pf.thetas[idx], pf.thetas[idx + 1]
+    phi = lo + (hi - lo) * np.clip((targets - th_lo) / (th_hi - th_lo), 0.0, 1.0)
+    # solve past the seam one turn back, in [0, 2pi), where angles carry more bits
+    past = lo >= TWO_PI
+    lo[past] -= TWO_PI
+    hi[past] -= TWO_PI
+    phi[past] -= TWO_PI
+    targets[past] -= TWO_PI * n
 
-    idx = np.clip(np.searchsorted(pf.thetas, targets, side="right") - 1, 0, len(pf.thetas) - 2)
-    lo = pf.phis[idx].copy()
-    hi = pf.phis[idx + 1].copy()
-    wlo = pf._wvals[idx].copy()
-    tlo = pf.thetas[idx].copy()
-    for _ in range(64):
-        if np.max(hi - lo) <= angle_tol:
+    active = np.arange(n)
+    # bisection alone takes about 55 passes from width pi/n down to 4 ulps
+    for _ in range(200):
+        if active.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        wm = np.atleast_1d(pf.wrapped(mid))
-        tm = tlo + (wm - wlo) % TWO_PI
-        left = tm <= targets
-        lo[left] = mid[left]
-        wlo[left] = wm[left]
-        tlo[left] = tm[left]
-        hi[~left] = mid[~left]
-    nodes = 0.5 * (lo + hi)
+        p = phi[active]
+        theta, dtheta, b = prufer_phase(pf.alphas, p)
+        lifted = theta - targets[active]
+        engaged = np.abs(lifted) < 0.5 * np.pi
+        f = np.where(engaged, np.angle(-b * np.conj(eta)), lifted)
+        left = np.where(f < 0, p, lo[active])
+        right = np.where(f > 0, p, hi[active])
+        step = f / dtheta
+        newton = p - step
+        settled = engaged & (np.abs(step) <= 64 * np.finfo(float).eps * np.maximum(1.0, p))
+        inside = (newton > left) & (newton < right)
+        phi[active] = np.where(settled, np.clip(newton, left, right),
+                               np.where(inside, newton, 0.5 * (left + right)))
+        lo[active], hi[active] = left, right
+        active = active[~(settled | _narrow(left, right))]
 
-    # Newton polish on the real form; reject steps that leave the bracket scale
-    max_step = np.maximum(hi - lo, TWO_PI / (8 * n))
-    for _ in range(2):
-        g, gp = _real_form_eval(spec, nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(gp != 0, g / gp, 0.0)
-        step = np.where(np.abs(step) <= max_step, step, 0.0)
-        nodes = nodes - step
+    # a bracket holds a sign change of the residual by construction
+    err, dtheta = node_errors(spec, phi)
+    bad = np.flatnonzero((err > NODE_TOL) & ~_narrow(lo, hi))
+    if bad.size:
+        j = int(bad[np.argmax(err[bad])])
+        raise InternalConsistencyError(
+            f"node {j} at {phi[j]:.17g} rad: estimated error {err[j]:.3e} rad exceeds "
+            f"{NODE_TOL:.0e}, theta' = {dtheta[j]:.3e}"
+        )
 
-    nodes = np.mod(nodes, TWO_PI)
+    nodes = np.mod(phi, TWO_PI)
     nodes[nodes >= TWO_PI] = 0.0   # mod of a tiny negative can round up to 2*pi
     nodes = np.sort(nodes)
     gaps = np.diff(np.concatenate([nodes, [nodes[0] + TWO_PI]]))
-    if len(nodes) != n or np.min(gaps) <= NODE_GAP:
+    if np.min(gaps) <= NODE_GAP:
         raise NodeCountError(f"expected {n} distinct nodes, got gaps down to {np.min(gaps):.3e}")
-
-    eb = szego_eval(build_modified_sequence(spec), np.exp(1j * nodes))
-    resid = np.abs(np.exp(1j * nodes) * eb.phi + spec.eta * eb.phi_star)
-    if np.max(resid) > 1e-10 * n:
-        raise InternalConsistencyError(
-            f"nodes polynomial residual {np.max(resid):.3e} exceeds {1e-10 * n:.1e}"
-        )
     return nodes
 
 

@@ -283,8 +283,8 @@ class SFunctionTrace:
     weight_residual: float      # max_s |mu_s + S(phi_s)/(2 T'(phi_s))|
     s_zeros: np.ndarray
     arc_counts: tuple           # S-zeros per circular node arc (all should be 1)
-    sign_case: int              # sgn(S*T) just right of zero
-    sign_consistent: bool       # ordering near 0 matches the sign case
+    sign_case: int              # sgn(S*T) mid-way in the widest gap of nodes and zeros
+    sign_consistent: bool       # the next point counterclockwise matches the sign case
     interlacing_violations: int
     skipped: tuple              # (angle, reason) pairs for dropped samples
 
@@ -392,14 +392,21 @@ def s_function(rule, measure, samples=None):
     if len(zeros) != n or not count_ok:
         violations += abs(len(zeros) - n) if len(zeros) != n else 1
 
-    merged = np.sort(np.concatenate([nodes, zeros]))
-    if merged[0] > 1e-12:
-        probe = merged[0] / 2.0
-    else:
-        probe = (merged[0] + merged[1]) / 2.0
+    # S*T is periodic; probe the widest circular gap of nodes and zeros (not
+    # the one holding the guard angle, where the half-degree factor vanishes)
+    # and read which kind of point comes next counterclockwise
+    points = np.concatenate([nodes, zeros])
+    is_node = np.arange(len(points)) < n
+    order = np.argsort(points, kind="stable")
+    points, is_node = points[order], is_node[order]
+    gaps = np.diff(np.concatenate([points, [points[0] + TWO_PI]]))
+    if phi_guard is not None:
+        gaps = np.where((phi_guard - points) % TWO_PI < gaps, -1.0, gaps)
+    g = int(np.argmax(gaps))
+    probe = points[g] + gaps[g] / 2.0
     sgn = 1 if s_eval(np.array([probe]))[0] * t_eval(np.array([probe]))[0] > 0 else -1
-    node_first = bool(len(zeros) == n and nodes[0] < zeros[0])
-    sign_consistent = (sgn > 0) == node_first
+    node_next = bool(len(zeros) == n and is_node[(g + 1) % len(points)])
+    sign_consistent = (sgn > 0) == node_next
     if not sign_consistent:
         violations += 1
 

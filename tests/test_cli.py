@@ -284,3 +284,17 @@ def test_generate_from_density_file(tmp_path, capsys):
     data = json.loads(out)
     assert data["precise_degree"] >= 5
     assert min(data["weights"]) > 0
+
+
+def test_verify_node_at_zero_rule(tmp_path, capsys):
+    # a node pinned at phi = 0: the S-function sign case was read between 0
+    # and the first node or zero, where rounding decided which came first
+    path = tmp_path / "rule.json"
+    code, _, _ = run_cli(
+        ["generate", "--measure", "bernstein-szego:0.5", "--n", "16",
+         "--eta", "node-at:0", "--output", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(
+        ["verify", "--measure", "bernstein-szego:0.5", "--rule", str(path)], capsys)
+    assert code == 0
+    assert out.strip().endswith("PASS")

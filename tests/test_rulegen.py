@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 import szquad as sq
+from szquad import rulegen
 from szquad.errors import (
     ArityError,
     ConditioningWarning,
+    InternalConsistencyError,
     InvalidCoefficientsError,
     PositivityViolationError,
 )
-from szquad.opuc_core import moments_from_alphas
+from szquad.opuc_core import moments_from_alphas, prufer_phase
 from szquad.rulegen import (
+    NODE_TOL,
     TWO_PI,
     ParaOrthogonalSpec,
-    PhaseFunction,
     build_modified_sequence,
+    node_errors,
     spec_for_rule,
 )
 
@@ -110,18 +113,34 @@ def test_find_nodes_against_companion_oracle(rng):
         assert np.max(gap) < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 20, 50])
-def test_phase_total_increase(rng, n):
-    measure, _, _, _, _ = random_rule_setup(rng, n_max=5)
-    base = sq.verblunsky_prefix(measure, 0)
-    m = min(2, n - 1)
-    tail = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    base = 0.4 * np.exp(1j * rng.uniform(0, 2 * np.pi, n - m - 1))
-    spec = ParaOrthogonalSpec(base, tail, np.exp(0.37j), n, m)
+_LOCALIZED = [
+    sq.Geronimus(-0.6),
+    sq.Geronimus(0.4j),
+    sq.ExplicitVerblunsky(
+        [complex(0.7 * np.exp(2j * np.pi * t)) for t in np.random.default_rng(0).random(16)]),
+]
+_LOCALIZED_IDS = ["geronimus(-0.6)", "geronimus(0.4j)", "verblunsky-16(0.7)"]
+
+
+@pytest.mark.parametrize(
+    "measure, n",
+    [pytest.param(None, n, id=str(n)) for n in (1, 2, 7, 20, 50)]
+    + [pytest.param(measure, n, id=f"{name}-{n}")
+       for measure, name in zip(_LOCALIZED, _LOCALIZED_IDS) for n in (64, 128)])
+def test_phase_total_increase(rng, measure, n):
+    if measure is None:
+        m = min(2, n - 1)
+        tail = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        base = 0.4 * np.exp(1j * rng.uniform(0, 2 * np.pi, n - m - 1))
+        spec = ParaOrthogonalSpec(base, tail, np.exp(0.37j), n, m)
+    else:
+        spec = spec_for_rule(measure, n, 0)
     pf = sq.PhaseFunction(spec)
-    assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-8)
-    # strictly increasing table
-    assert np.all(np.diff(pf.thetas) >= 0)
+    assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-9)
+    # the kernel's own winding over one turn from the seam
+    assert pf(pf.phis[0] + TWO_PI) - pf(pf.phis[0]) == pytest.approx(2 * np.pi * n, abs=1e-9)
+    assert len(pf.phis) == 2 * n + 1
+    assert np.all(np.diff(pf.thetas) > 0)
 
 
 def test_node_at_mode_forces_node():
@@ -299,66 +318,103 @@ def test_phase_function_callable_monotone(rng):
     assert pf(1.0) == pytest.approx(pf(np.array([1.0]))[0])
 
 
-def _depth_first_table(pf):
-    """Breakpoints and unwrapped phase by the depth-first stack subdivision,
-    one scalar probe per refinement: the reference for the level-by-level
-    build."""
-    seeds = 16 * pf.n
-    grid = np.linspace(0.0, TWO_PI, seeds + 1)
-    wvals, hvals = pf._probe(grid)
-    phis = [grid[0]]
-    thetas = [float(wvals[0])]
-    stack = [(grid[i], float(wvals[i]), float(hvals[i]),
-              grid[i + 1], float(wvals[i + 1]), float(hvals[i + 1]))
-             for i in range(seeds - 1, -1, -1)]
-    while stack:
-        a, wa, ha, b, wb, hb = stack.pop()
-        width = b - a
-        delta = (wb - wa) % TWO_PI
-        resolved = delta < pf.LIFT_MAX and min(ha, hb) >= pf.GAUGE_SAFETY * width
-        if resolved or width < pf.MIN_WIDTH:
-            phis.append(b)
-            thetas.append(thetas[-1] + delta)
-        else:
-            mid = 0.5 * (a + b)
-            wm, hm = pf._probe(np.array([mid]))
-            stack.append((mid, float(wm[0]), float(hm[0]), b, wb, hb))
-            stack.append((a, wa, ha, mid, float(wm[0]), float(hm[0])))
-    return np.array(phis), np.array(thetas)
-
-
-_LOCALIZED = [
-    sq.Geronimus(-0.6),
-    sq.Geronimus(0.4j),
-    sq.ExplicitVerblunsky(
-        [complex(0.7 * np.exp(2j * np.pi * t)) for t in np.random.default_rng(0).random(16)]),
-]
-
-
 @pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("measure", _LOCALIZED)
-def test_phase_table_matches_depth_first(measure, n):
-    pf = PhaseFunction(spec_for_rule(measure, n, 0))
-    ref_phis, ref_thetas = _depth_first_table(pf)
-    assert len(pf.phis) > 16 * n + 1   # the table did refine
-    assert np.array_equal(pf.phis, ref_phis)
-    assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(ref_thetas[-1] - ref_thetas[0], abs=1e-9)
+@pytest.mark.parametrize("measure", _LOCALIZED, ids=_LOCALIZED_IDS)
+def test_phase_function_monotone_localized(measure, n):
+    pf = sq.PhaseFunction(spec_for_rule(measure, n, 0))
+    dense = np.linspace(0.0, 2 * np.pi, 64 * n + 1)
+    theta, dtheta, b = prufer_phase(pf.alphas, dense)
+    assert np.all(np.diff(theta) > 0)
+    assert np.all(dtheta > 0)
+    assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
+    assert np.allclose(pf(dense), theta)
+    # theta lifts the argument of B = z Phi / Phi*, and b is B itself
+    ev = sq.szego_eval(pf.alphas, np.exp(1j * dense))
+    quotient = np.exp(1j * dense) * ev.phi / ev.phi_star
+    assert np.max(np.abs(b - quotient)) < 1e-9
+    assert np.max(np.abs(np.exp(1j * theta) - quotient)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("measure", _LOCALIZED)
-def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
-    calls = []
-    probe = PhaseFunction._probe
+@pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Geronimus(-0.4),
+                                     sq.Geronimus(-0.6)])
+def test_phase_derivative_christoffel_identity(measure):
+    # theta' = K_{n-1} / |phi*_{n-1}|^2, with K_{n-1} = 1/mu the Christoffel sum
+    spec = spec_for_rule(measure, 64, 0, eta=np.exp(0.3j))
+    alphas = build_modified_sequence(spec)
+    phi = np.concatenate([sq.find_nodes(spec), np.linspace(0.0, 2 * np.pi, 257)])
+    z = np.exp(1j * phi)
+    _, dtheta, _ = prufer_phase(alphas, phi)
+    phi_star2 = np.abs(sq.szego_eval(alphas, z).phi_star) ** 2 / np.prod(1 - np.abs(alphas) ** 2)
+    mu = sq.christoffel_weights(alphas, z)
+    assert np.max(np.abs(dtheta * phi_star2 * mu - 1)) <= 1e-12
 
-    def spy(self, phi):
-        calls.append(np.size(phi))
-        return probe(self, phi)
 
-    monkeypatch.setattr(PhaseFunction, "_probe", spy)
-    PhaseFunction(spec_for_rule(measure, n, 0))
-    levels = int(np.floor(np.log2(TWO_PI / (16 * n * PhaseFunction.MIN_WIDTH))))
-    assert len(calls) <= 2 + levels
+def _mp_phase_root(alphas, eta, phi, half_width=1e-12, dps=60):
+    """Zero of theta - target within half_width of phi, by bisection in mpmath
+    on the lifted phase theta(x) = n x - 2 sum_k arg(1 - conj(a_k) B_k(x))."""
+    with mpmath.workdps(dps):
+        alphas = [mpmath.mpc(complex(a)) for a in alphas]
+
+        def theta(x):
+            z = mpmath.expj(x)
+            b, args = z, mpmath.mpf(0)
+            for a in alphas:
+                w = 1 - mpmath.conj(a) * b
+                args += mpmath.arg(w)
+                b = z * (b - a) / w
+            return (len(alphas) + 1) * x - 2 * args
+
+        lo = mpmath.mpf(float(phi)) - half_width
+        hi = mpmath.mpf(float(phi)) + half_width
+        t0 = mpmath.arg(-mpmath.mpc(complex(eta)))
+        target = t0 + 2 * mpmath.pi * mpmath.ceil((theta(lo) - t0) / (2 * mpmath.pi))
+        assert theta(lo) < target < theta(hi)
+        while hi - lo > mpmath.mpf(10) ** -25:
+            mid = (lo + hi) / 2
+            if theta(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def test_stiff_node_within_ulps_of_root():
+    # the node at the mass point of Geronimus(0.4i) (weight 8/29): theta jumps
+    # by 2pi within an ulp of phi, so the lifted residual stays +-pi until the
+    # bracket closes; stopping on a small step there lost 2e-11 of the mass
+    spec = spec_for_rule(sq.Geronimus(0.4j), 128, 0)
+    alphas = build_modified_sequence(spec)
+    nodes = sq.find_nodes(spec)
+    mass = np.sum(sq.christoffel_weights(alphas, np.exp(1j * nodes)))
+    assert abs(mass - 1) <= 1e-13
+    j = int(np.argmin(np.abs(nodes - 0.7610127542247)))
+    root = _mp_phase_root(alphas, spec.eta, nodes[j])
+    assert float(abs(mpmath.mpf(nodes[j]) - root)) <= 4 * np.spacing(nodes[j])
+
+
+def test_geronimus_builds_past_absolute_residual():
+    # the former absolute bound 1e-10 * n rejected this rule with "nodes
+    # polynomial residual 6.25e-02", a relative residual near 2e-20
+    measure = sq.Geronimus(0.4j)
+    rule = sq.generate_rule(measure, 128, 0, eta=np.exp(0.75j * np.pi))
+    ref = _mp_christoffel(sq.verblunsky_prefix(measure, 127), rule.nodes)
+    assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
+
+
+@pytest.mark.parametrize("measure, n", [(sq.BernsteinSzego(0.5), 64), (sq.Geronimus(0.4j), 128),
+                                        (_LOCALIZED[2], 128)])
+def test_node_errors_sees_moved_nodes(measure, n):
+    spec = spec_for_rule(measure, n, 0)
+    nodes = sq.find_nodes(spec)
+    assert np.max(node_errors(spec, nodes)[0]) <= NODE_TOL
+    moved, _ = node_errors(spec, nodes + 1e-9)
+    assert np.min(moved) >= 0.9e-9
+
+
+def test_find_nodes_reports_unresolved_node(monkeypatch):
+    monkeypatch.setattr(rulegen, "NODE_TOL", 0.0)
+    with pytest.raises(InternalConsistencyError, match=r"node \d+ at .* theta' = "):
+        sq.find_nodes(spec_for_rule(sq.BernsteinSzego(0.5), 16, 0))
 
 
 def test_vandermonde_lebesgue_uniform():
