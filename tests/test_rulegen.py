@@ -335,6 +335,74 @@ def test_phase_function_monotone_localized(measure, n):
     assert np.max(np.abs(np.exp(1j * theta) - quotient)) < 1e-9
 
 
+def _depth_first_table(pf):
+    """The rolled grid table rebuilt one point at a time: the Schur map in
+    scalar complex arithmetic per point, with the points past the seam
+    evaluated at phi + 2pi directly rather than shifted by 2pi*n. The
+    reference for the one vectorized pass; also returns theta' on the grid."""
+    def point(p):
+        z = complex(np.exp(1j * p))
+        b, args, slope = z, 0.0, 1.0
+        for a in pf.alphas:
+            w = 1 - a.conjugate() * b
+            args += np.arctan2(w.imag, w.real)
+            slope = slope * (1 - abs(a) ** 2) / abs(w) ** 2 + 1
+            b = z * (b - a) / w
+        return pf.n * p - 2 * args, slope
+
+    grid = np.linspace(0.0, TWO_PI, 2 * pf.n + 1)
+    slopes = np.array([point(p)[1] for p in grid[:-1]])
+    s = int(np.argmin(slopes))
+    phis = np.concatenate([grid[s:-1], grid[:s + 1] + TWO_PI])
+    return phis, np.array([point(p)[0] for p in phis]), slopes
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("measure", _LOCALIZED)
+def test_phase_table_matches_depth_first(measure, n):
+    pf = rulegen.PhaseFunction(spec_for_rule(measure, n, 0))
+    ref_phis, ref_thetas, slopes = _depth_first_table(pf)
+    assert len(pf.phis) == 2 * n + 1
+    assert np.array_equal(pf.phis, ref_phis)
+    assert np.max(np.abs(pf.thetas - ref_thetas)) <= 1e-11
+    assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-9)
+    # the seam sits at the flattest grid point, by theta' = K_{n-1} / |phi*_{n-1}|^2
+    z = np.exp(1j * np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1])
+    phi_star2 = np.abs(sq.szego_eval(pf.alphas, z).phi_star) ** 2 \
+        / np.prod(1 - np.abs(pf.alphas) ** 2)
+    k = 1 / (sq.christoffel_weights(pf.alphas, z) * phi_star2)
+    assert np.max(np.abs(slopes / k - 1)) <= 1e-9
+    # the table's phase is the argument of z Phi / Phi* from the recurrence itself
+    zt = np.exp(1j * pf.phis)
+    ev = sq.szego_eval(pf.alphas, zt)
+    assert np.max(np.abs(np.exp(1j * pf.thetas) - zt * ev.phi / ev.phi_star)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("measure", _LOCALIZED)
+def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
+    calls = []
+
+    def spy(alphas, phi):
+        calls.append(np.size(phi))
+        return prufer_phase(alphas, phi)
+
+    monkeypatch.setattr(rulegen, "prufer_phase", spy)
+    spec = spec_for_rule(measure, n, 0)
+    rulegen.PhaseFunction(spec)
+    assert calls == [2 * n + 1]   # the table is one pass over the grid
+    calls.clear()
+    sq.find_nodes(spec)
+    grid, levels, check = calls[0], calls[1:-1], calls[-1]
+    assert grid == 2 * n + 1 and check == n
+    # one pass per Newton level, on the active nodes only
+    assert levels[0] == n
+    assert all(later <= earlier for earlier, later in zip(levels, levels[1:]))
+    # bisection from a grid cell of width pi/n to 4 ulps, plus a few Newton passes
+    bisections = int(np.ceil(np.log2((np.pi / n) / (4 * np.spacing(TWO_PI)))))
+    assert len(levels) <= bisections + 16
+
+
 @pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Geronimus(-0.4),
                                      sq.Geronimus(-0.6)])
 def test_phase_derivative_christoffel_identity(measure):
