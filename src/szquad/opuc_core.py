@@ -102,6 +102,38 @@ def szego_eval(alphas, z, with_derivatives=False):
     return EvalBundle(phi, phi_star, dphi, dphi_star)
 
 
+# Dekker's splitting constant: the high part of a split double keeps 26
+# significant bits, so its product with any run length below 2^27 is exact
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def _zero_runs(a):
+    """The nonzero coefficients of `a` and the runs of exact zeros around them.
+
+    Returns (coefs, runs, trailing) as Python values: runs[i] zeros precede
+    coefs[i], and `trailing` zeros follow the last of them. A dense sequence
+    gives runs of 0 only.
+    """
+    nz = np.flatnonzero(a)
+    at = nz.tolist()
+    runs = [j - i - 1 for i, j in zip([-1] + at, at)]
+    trailing = len(a) - 1 - at[-1] if at else len(a)
+    return a[nz].tolist(), runs, trailing
+
+
+def _circle_power(phi):
+    """z^r = e^{i r phi} for whole runs r, without rounding r*phi to one double.
+
+    phi = hi + lo exactly with hi of 26 bits (Dekker split), so r*hi is
+    exact and the one rounding of r*lo is 2^-26 times smaller than that of
+    r*phi.
+    """
+    t = _SPLIT * phi
+    hi = t - (t - phi)
+    lo = phi - hi
+    return lambda r: np.exp(1j * (r * hi)) * np.exp(1j * (r * lo))
+
+
 def prufer_phase(alphas, phi):
     """Lifted Prufer phase of B_N = z*Phi_N/Phi*_N at z = e^{i phi}, N = len(alphas).
 
@@ -116,42 +148,70 @@ def prufer_phase(alphas, phi):
     a sum of principal arguments (each factor has positive real part), with
     theta(phi + 2pi) = theta(phi) + 2pi(N+1) exactly. The phi-derivative
     S_k follows S_0 = 1, S_{k+1} = S_k (1 - |a_k|^2)/|1 - conj(a_k) B_k|^2 + 1
-    without overflow (Simon, OPUC, 2005: Pruefer variables). Returns
+    without overflow (Simon, OPUC, 2005: Pruefer variables). At a_k = 0 the
+    step is B <- zB, S <- S + 1 with no arg term, so a run of r zero
+    coefficients costs one step: B <- e^{i r phi} B, S <- S + r. A pass
+    costs O(nonzero coefficients + zero runs) vector operations. Returns
     (theta, S, B_N) with the shape of phi.
     """
     a = as_verblunsky(alphas)
     phi = np.asarray(phi, dtype=float)
+    coefs, runs, trailing = _zero_runs(a)
+    power = _circle_power(phi)
     z = np.exp(1j * phi)
     b = z
     dtheta = np.ones(phi.shape)
     args = np.zeros(phi.shape)
-    for ak in a:
-        w = 1.0 - np.conj(ak) * b
+    for ak, run in zip(coefs, runs):
+        if run:
+            b = b * power(run)
+            dtheta = dtheta + run
+        w = 1.0 - ak.conjugate() * b
         args += np.arctan2(w.imag, w.real)
         dtheta = dtheta * ((1.0 - abs(ak) ** 2) / (w.real ** 2 + w.imag ** 2)) + 1.0
         b = z * (b - ak) / w
+    if trailing:
+        b = b * power(trailing)
+        dtheta = dtheta + trailing
     return (len(a) + 1) * phi - 2.0 * args, dtheta, b
 
 
-def christoffel_weights(alphas, z):
-    """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas).
+def christoffel_weights(alphas, phi):
+    """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas),
+    at the points z_s = e^{i phi_s} given by their angles `phi`.
 
     phi_k = Phi_k / prod_{j<k} (1 - |a_j|^2)^(1/2) are the orthonormal
     polynomials. At the N+1 zeros of a para-orthogonal polynomial built from
     `alphas` these are the weights of its Szego rule (Jones, Njastad &
     Thron, Bull. LMS 21, 1989): a sum of positive terms, so positive by
     construction.
+
+    The points lie on the unit circle, where a_k = 0 gives phi_{k+1} =
+    z phi_k with |phi_{k+1}| = |phi_k|. A run of r zero coefficients
+    therefore costs one step: phi_k <- e^{i r phi} phi_k, and the sum grows
+    by r |phi_k|^2. Taking angles rather than points z lets the angle
+    itself, not a rounded arg z, set the phase of e^{i r phi}.
     """
     a = as_verblunsky(alphas)
-    zz = np.asarray(z, dtype=complex)
-    phi = np.ones_like(zz)
-    phi_star = np.ones_like(zz)
-    total = np.ones(zz.shape)
-    for ak in a:
-        phi, phi_star = _szego_step(zz * phi, phi_star, ak)
+    if np.iscomplexobj(phi):
+        raise TypeError("christoffel_weights takes the angles phi of the points z = e^{i phi}")
+    phi = np.asarray(phi, dtype=float)
+    coefs, runs, trailing = _zero_runs(a)
+    power = _circle_power(phi)
+    z = np.exp(1j * phi)
+    orth = np.ones_like(z)
+    orth_star = np.ones_like(z)
+    total = np.ones(z.shape)
+    for ak, run in zip(coefs, runs):
+        if run:
+            total += run * np.abs(orth) ** 2
+            orth = orth * power(run)
+        orth, orth_star = _szego_step(z * orth, orth_star, ak)
         norm = np.sqrt(1.0 - abs(ak) ** 2)
-        phi, phi_star = phi / norm, phi_star / norm
-        total += np.abs(phi) ** 2
+        orth, orth_star = orth / norm, orth_star / norm
+        total += np.abs(orth) ** 2
+    if trailing:
+        total += trailing * np.abs(orth) ** 2
     return 1.0 / total
 
 

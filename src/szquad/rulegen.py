@@ -77,10 +77,8 @@ class ParaOrthogonalSpec:
     m: int
 
     def __init__(self, base, tail, eta, n, m):
-        base = tuple(complex(v) for v in np.atleast_1d(np.asarray(base, dtype=complex))) \
-            if np.size(base) else ()
-        tail = tuple(complex(v) for v in np.atleast_1d(np.asarray(tail, dtype=complex))) \
-            if np.size(tail) else ()
+        base = tuple(np.asarray(base, dtype=complex).reshape(-1).tolist())
+        tail = tuple(np.asarray(tail, dtype=complex).reshape(-1).tolist())
         if not (0 <= m <= n - 1):
             raise ArityError(f"need 0 <= m <= n-1, got n={n}, m={m}")
         if len(tail) != m:
@@ -404,13 +402,11 @@ class QuadratureRule:
 
 
 def eta_for_node_at(base, tail, n, m, phi0):
-    """Boundary parameter forcing a node at phi0:
-    eta = -z0 * Phi~_{n-1}(z0) / Phi~*_{n-1}(z0), z0 = e^{i phi0}."""
+    """Boundary parameter forcing a node at phi0: eta = -B_{n-1}(e^{i phi0}),
+    with B_{n-1} = z*Phi~_{n-1}/Phi~*_{n-1} from the Prufer kernel."""
     modified = np.concatenate([np.asarray(base, dtype=complex),
                                np.asarray(tail, dtype=complex)])
-    z0 = np.exp(1j * float(phi0))
-    eb = szego_eval(modified, z0)
-    eta = -z0 * eb.phi / eb.phi_star
+    eta = -complex(prufer_phase(modified, float(phi0))[2])
     return eta / abs(eta)
 
 
@@ -427,7 +423,7 @@ def generate_rule(measure, n, m, tail=(), eta=1.0, node_at=None):
         eta = eta_for_node_at(base, np.asarray(tail, dtype=complex), n, m, node_at)
     spec = ParaOrthogonalSpec(base, tail, eta, n, m)
     nodes = find_nodes(spec)
-    weights = christoffel_weights(build_modified_sequence(spec), np.exp(1j * nodes))
+    weights = christoffel_weights(build_modified_sequence(spec), nodes)
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-12:
         raise PositivityViolationError(f"weights sum to {total:.17g}")

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import szquad as sq
 from szquad.errors import (
@@ -8,6 +11,8 @@ from szquad.errors import (
     NotPositiveDefiniteError,
     ZerosNotInDiskError,
 )
+from szquad.opuc_core import prufer_phase
+from szquad.rulegen import ParaOrthogonalSpec
 
 from conftest import atom_moments, grid_moments, random_disk_points
 
@@ -279,3 +284,100 @@ def test_wronskian_raw_bound_moderate_coefficients(rng, n):
     alphas = random_disk_points(rng, n, radius=0.5)
     zs = np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
     assert np.max(sq.wronskian_residual(alphas, zs)) < 1e-11
+
+
+# --- zero runs in the Schur-map and Christoffel kernels -------------------------
+
+def _schur_reference(alphas, phi):
+    """theta, theta' and B_N with one plain Schur step per coefficient, zero or not."""
+    z = np.exp(1j * phi)
+    b, args, dtheta = z, np.zeros(phi.shape), np.ones(phi.shape)
+    for a in alphas:
+        w = 1.0 - np.conj(a) * b
+        args += np.arctan2(w.imag, w.real)
+        dtheta = dtheta * ((1.0 - abs(a) ** 2) / (w.real ** 2 + w.imag ** 2)) + 1.0
+        b = z * (b - a) / w
+    return (len(alphas) + 1) * phi - 2.0 * args, dtheta, b
+
+
+def _christoffel_reference(alphas, z):
+    """1 / sum_k |phi_k(z)|^2 with one plain orthonormal Szego step per coefficient."""
+    phi = phi_star = np.ones_like(z)
+    total = np.ones(z.shape)
+    for a in alphas:
+        zphi = z * phi
+        phi, phi_star = zphi - a * phi_star, phi_star - np.conj(a) * zphi
+        norm = np.sqrt(1.0 - abs(a) ** 2)
+        phi, phi_star = phi / norm, phi_star / norm
+        total += np.abs(phi) ** 2
+    return 1.0 / total
+
+
+def _assert_kernels_match_reference(alphas, phi):
+    theta, dtheta, b = prufer_phase(alphas, phi)
+    mu = sq.christoffel_weights(alphas, phi)
+    ref_theta, ref_dtheta, ref_b = _schur_reference(alphas, phi)
+    ref_mu = _christoffel_reference(alphas, np.exp(1j * phi))
+    if np.all(alphas != 0):
+        # no zero run: the kernels take the reference steps in the same order
+        for got, ref in ((theta, ref_theta), (dtheta, ref_dtheta), (b, ref_b), (mu, ref_mu)):
+            assert np.array_equal(got, ref)
+        return
+    # a run of r zeros rounds r times in the reference and about once in the
+    # kernels: a phase difference up to N eps, which theta' amplifies
+    tol = 16 * len(alphas) * np.finfo(float).eps * (1.0 + ref_dtheta)
+    assert np.all(np.abs(theta - ref_theta) <= tol)
+    assert np.all(np.abs(dtheta / ref_dtheta - 1) <= tol)
+    assert np.all(np.abs(b - ref_b) <= tol)
+    assert np.all(np.abs(mu / ref_mu - 1) <= tol)
+
+
+_zero_run = st.integers(1, 80).map(lambda r: [0j] * r)
+_nonzero_block = st.lists(
+    st.builds(lambda r, t: complex(r * np.exp(2j * np.pi * t)),
+              st.floats(0.05, 0.7), st.floats(0.0, 1.0)),
+    min_size=1, max_size=4)
+_run_patterns = st.lists(st.one_of(_zero_run, _nonzero_block), max_size=6).map(
+    lambda blocks: np.array(sum(blocks, []), dtype=complex))
+
+_rng = np.random.default_rng(3)
+_block = 0.5 * np.exp(2j * np.pi * _rng.random(12))
+_STIFF = np.array([0.7 * np.exp(2j * np.pi * t) for t in np.random.default_rng(0).random(16)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_run_patterns)
+@example(np.concatenate([np.zeros(90), _block]))                          # leading run
+@example(np.concatenate([_block[:6], np.zeros(150), _block[6:]]))         # interior run
+@example(np.concatenate([_block, np.zeros(200)]))                         # trailing run
+@example(np.zeros(255, dtype=complex))                                    # all zeros
+@example(0.3 * np.exp(2j * np.pi * _rng.random(100)))                     # no zeros
+@example(np.concatenate([_STIFF, np.zeros(111)]))                         # stiff, n = 128
+def test_zero_run_kernels_match_plain_steps(alphas):
+    n = len(alphas) + 1
+    _assert_kernels_match_reference(alphas, np.linspace(0.0, 2 * np.pi, 2 * n + 1))
+    nodes = sq.find_nodes(ParaOrthogonalSpec(alphas, (), np.exp(0.3j), n, 0))
+    _assert_kernels_match_reference(alphas, nodes)
+
+
+def test_zero_run_phase_within_ulps():
+    # e^{i r phi} from the split angle: B_N of an all-zero sequence is
+    # e^{i (N+1) phi} within about eps; rounding r*phi to one double misses
+    # by about 2000 eps at N = 1023, and N plain steps by about 340 eps
+    phi = np.linspace(0.0, 2 * np.pi, 257)
+    for count in (200, 1023):
+        _, _, b = prufer_phase(np.zeros(count), phi)
+        with mpmath.workdps(30):
+            exact = np.array([complex(mpmath.expj((count + 1) * mpmath.mpf(float(p))))
+                              for p in phi])
+        assert np.max(np.abs(b - exact)) <= 4 * np.finfo(float).eps
+
+
+def test_christoffel_weights_take_angles():
+    alphas = np.array([0.5, 0.0, 0.0, -0.2j, 0.0])
+    phi = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0])
+    assert np.allclose(sq.christoffel_weights(alphas, phi),
+                       _christoffel_reference(alphas, np.exp(1j * phi)), rtol=1e-14, atol=0)
+    # complex points z are refused, not read as angles
+    with pytest.raises(TypeError, match="angles phi"):
+        sq.christoffel_weights(alphas, np.exp(1j * phi))

@@ -148,6 +148,28 @@ def test_node_at_mode_forces_node():
     assert np.min(np.abs(rule.nodes - 1.1)) < 1e-10
 
 
+def test_lebesgue_rule_exact_at_1024():
+    # every coefficient is zero, so theta = n phi: node j solves n phi = arg(-eta) + 2pi j
+    n, eta = 1024, np.exp(0.37j)
+    rule = sq.generate_rule(sq.Lebesgue(), n, 0, eta=eta)
+    with mpmath.workdps(40):
+        t0 = mpmath.arg(-mpmath.mpc(complex(eta)))
+        exact = np.array([float((t0 + 2 * mpmath.pi * j) / n) for j in range(1, n + 1)])
+    assert np.all(np.abs(rule.nodes - exact) <= 4 * np.spacing(exact))
+    assert np.max(np.abs(rule.weights - 1 / n)) <= 1e-15
+
+
+def test_bernstein_szego_christoffel_law_at_1024():
+    # a_0 = 1/2 and zeros after it: |phi_j|^2 = 1/f for j >= 1 on the circle,
+    # so 1/(n mu_s) = 1/n + (n-1)/(n f) at every node (acceptance criterion 6)
+    n = 1024
+    measure = sq.BernsteinSzego(0.5)
+    rule = sq.generate_rule(measure, n, 0)
+    f = sq.density_eval(measure, rule.nodes)
+    law = 1 / n + (n - 1) / (n * f)
+    assert np.max(np.abs(1 / (n * rule.weights) - law)) <= 1e-12
+
+
 # --- weights ---------------------------------------------------------------------
 
 def test_weights_lebesgue_quarter():
@@ -171,7 +193,7 @@ def test_triple_weight_agreement(rng):
         w_split = sq.weights_qm_formula(spec, nodes)
         c_mod = moments_from_alphas(build_modified_sequence(spec), max(n - 1, 0))
         w_lsq = sq.weights_vandermonde_oracle(nodes, c_mod, n - 1)
-        w_chr = sq.christoffel_weights(build_modified_sequence(spec), np.exp(1j * nodes))
+        w_chr = sq.christoffel_weights(build_modified_sequence(spec), nodes)
         worst = max(worst,
                     np.max(np.abs(w_second - w_split) / w_second),
                     np.max(np.abs(w_second - w_lsq) / w_second),
@@ -367,10 +389,10 @@ def test_phase_table_matches_depth_first(measure, n):
     assert np.max(np.abs(pf.thetas - ref_thetas)) <= 1e-11
     assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-9)
     # the seam sits at the flattest grid point, by theta' = K_{n-1} / |phi*_{n-1}|^2
-    z = np.exp(1j * np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1])
-    phi_star2 = np.abs(sq.szego_eval(pf.alphas, z).phi_star) ** 2 \
+    grid = np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1]
+    phi_star2 = np.abs(sq.szego_eval(pf.alphas, np.exp(1j * grid)).phi_star) ** 2 \
         / np.prod(1 - np.abs(pf.alphas) ** 2)
-    k = 1 / (sq.christoffel_weights(pf.alphas, z) * phi_star2)
+    k = 1 / (sq.christoffel_weights(pf.alphas, grid) * phi_star2)
     assert np.max(np.abs(slopes / k - 1)) <= 1e-9
     # the table's phase is the argument of z Phi / Phi* from the recurrence itself
     zt = np.exp(1j * pf.phis)
@@ -413,7 +435,7 @@ def test_phase_derivative_christoffel_identity(measure):
     z = np.exp(1j * phi)
     _, dtheta, _ = prufer_phase(alphas, phi)
     phi_star2 = np.abs(sq.szego_eval(alphas, z).phi_star) ** 2 / np.prod(1 - np.abs(alphas) ** 2)
-    mu = sq.christoffel_weights(alphas, z)
+    mu = sq.christoffel_weights(alphas, phi)
     assert np.max(np.abs(dtheta * phi_star2 * mu - 1)) <= 1e-12
 
 
@@ -453,7 +475,7 @@ def test_stiff_node_within_ulps_of_root():
     spec = spec_for_rule(sq.Geronimus(0.4j), 128, 0)
     alphas = build_modified_sequence(spec)
     nodes = sq.find_nodes(spec)
-    mass = np.sum(sq.christoffel_weights(alphas, np.exp(1j * nodes)))
+    mass = np.sum(sq.christoffel_weights(alphas, nodes))
     assert abs(mass - 1) <= 1e-13
     j = int(np.argmin(np.abs(nodes - 0.7610127542247)))
     root = _mp_phase_root(alphas, spec.eta, nodes[j])
