@@ -314,12 +314,14 @@ def verblunsky_from_moments(c, n):
         raise NotPositiveDefiniteError(f"need moments c_0..c_{n}, got {len(c)} entries")
     if abs(c[0] - 1.0) > 1e-12:
         raise NotPositiveDefiniteError(f"moments must be normalized to c_0 = 1, got {c[0]}")
-    phi = np.array([1.0 + 0.0j])
-    phi_star = np.array([1.0 + 0.0j])
+    # zphi[1:k+2] holds Phi_k, so zphi[:k+2] is z*Phi_k (zphi[0] stays 0)
+    zphi = np.zeros(n + 2, dtype=complex)
+    phi_star = np.zeros(n + 2, dtype=complex)
+    zphi[1] = phi_star[0] = 1.0
     out = np.zeros(n, dtype=complex)
     for k in range(n):
-        num = np.sum(phi * np.conj(c[1:len(phi) + 1]))
-        den = np.sum(phi_star * np.conj(c[:len(phi_star)]))
+        num = np.sum(zphi[1:k + 2] * np.conj(c[1:k + 2]))
+        den = np.sum(phi_star[:k + 1] * np.conj(c[:k + 1]))
         if den.real <= PIVOT_TOL:
             raise NotPositiveDefiniteError(
                 f"Toeplitz pivot {den.real:.3e} at order {k}; "
@@ -331,7 +333,7 @@ def verblunsky_from_moments(c, n):
                 f"extracted |a_{k}| = {abs(ak):.17g} >= 1; moment matrix not positive definite"
             )
         out[k] = ak
-        phi, phi_star = _szego_step(_shift(phi), np.pad(phi_star, (0, 1)), ak)
+        zphi[1:k + 3], phi_star[:k + 2] = _szego_step(zphi[:k + 2], phi_star[:k + 2], ak)
     return out
 
 
@@ -343,13 +345,15 @@ def moments_from_alphas(alphas, n):
     each new moment linearly from the previous ones.
     """
     a = as_verblunsky(alphas)
-    phi = np.array([1.0 + 0.0j])
-    phi_star = np.array([1.0 + 0.0j])
+    # zphi[1:k+2] holds Phi_k, so zphi[:k+2] is z*Phi_k (zphi[0] stays 0)
+    zphi = np.zeros(n + 2, dtype=complex)
+    phi_star = np.zeros(n + 2, dtype=complex)
+    zphi[1] = phi_star[0] = 1.0
     c = np.zeros(n + 1, dtype=complex)
     c[0] = 1.0
     for k in range(1, n + 1):
         ak = a[k - 1] if k - 1 < len(a) else 0.0
-        phi, phi_star = _szego_step(_shift(phi), np.pad(phi_star, (0, 1)), ak)
+        zphi[1:k + 2], phi_star[:k + 1] = _szego_step(zphi[:k + 1], phi_star[:k + 1], ak)
         # Phi_k is monic and orthogonal to 1: sum_j phi_j conj(c_j) = 0
-        c[k] = np.conj(-np.sum(phi[:-1] * np.conj(c[:k])))
+        c[k] = np.conj(-np.sum(zphi[1:k + 1] * np.conj(c[:k])))
     return c

@@ -16,9 +16,13 @@ for the lifted Prufer phase theta, strictly increasing with total increase
 2*pi*n over a full turn. They are found by Prufer phase + safeguarded
 Newton: one pass of the Schur map over a 2n+1 grid brackets every node,
 and Newton steps on theta, bisecting when a step leaves its bracket,
-converge the nodes still active. The weights are the Christoffel numbers
-of the concatenated sequence at the nodes; the second-kind, split-form and
-least-squares formulas here cross-check them.
+converge the nodes still active, all of them in one pass. A pass over N
+coefficients costs about N*(10 us + 24 ns*points), so once few nodes are
+left and Newton has to bisect one of them, each of them probes its whole
+bracket in the pass, PROBE_BUDGET points in all, and gains several bits
+per pass instead of one bisection step. The weights are the Christoffel
+numbers of the concatenated sequence at the nodes; the second-kind,
+split-form and least-squares formulas here cross-check them.
 """
 
 import warnings
@@ -174,6 +178,9 @@ def node_errors(spec, nodes):
 # a node is accepted within this angle of its zero, by the Newton estimate
 NODE_TOL = 1e-12
 
+# points per find_nodes pass once at most a quarter as many nodes are active
+PROBE_BUDGET = 64
+
 
 def _narrow(lo, hi):
     """Brackets in [0, 2pi] at most 4 ulps wide."""
@@ -189,6 +196,19 @@ def find_nodes(spec):
     whenever a step leaves the bracket. The residual f is theta - target
     until it is below pi/2, then the wrapped arg(-B eta^{-1}), which carries
     no rounding from the lifted n*phi.
+
+    Each pass evaluates all active nodes in one `prufer_phase` call, and a
+    call over N coefficients costs about N*(10 us + 24 ns*points): the fixed
+    part dominates up to some 64 points, so a pass on one stiff node costs
+    about as much as a pass on 64. So when 4*a <= PROBE_BUDGET for a active
+    nodes, and the last pass bisected one of them (or this is the first
+    pass), each node sends its iterate and PROBE_BUDGET // a - 1 evenly
+    spaced interior points of its bracket into the call. The new bracket is
+    the tightest sign change among them, and the next iterate the Newton
+    step from the engaged probe with the smallest |f/theta'| if it lands
+    inside, else the midpoint: at least log2(PROBE_BUDGET // a) >= 2 bits
+    per pass. Otherwise a pass carries one point per node: where Newton
+    converges on every node, probes would buy nothing for their cost.
     """
     n = spec.n
     eta = spec.eta
@@ -208,25 +228,45 @@ def find_nodes(spec):
     targets[past] -= TWO_PI * n
 
     active = np.arange(n)
+    # probe while few nodes are left and Newton is not yet seen to work on all
+    probing = 4 * n <= PROBE_BUDGET
     # bisection alone takes about 55 passes from width pi/n down to 4 ulps
     for _ in range(200):
         if active.size == 0:
             break
-        p = phi[active]
+        k = PROBE_BUDGET // active.size if probing else 1
+        p, t, lo_a, hi_a = phi[active], targets[active], lo[active], hi[active]
+        if k > 1:
+            # column 0 holds the iterate, the others split the bracket in k
+            probes = lo_a[:, None] + (hi_a - lo_a)[:, None] * (np.arange(k) / k)
+            probes[:, 0] = p
+            p, t = probes, t[:, None]
         theta, dtheta, b = prufer_phase(pf.alphas, p)
-        lifted = theta - targets[active]
+        lifted = theta - t
         engaged = np.abs(lifted) < 0.5 * np.pi
         f = np.where(engaged, np.angle(-b * np.conj(eta)), lifted)
-        left = np.where(f < 0, p, lo[active])
-        right = np.where(f > 0, p, hi[active])
         step = f / dtheta
+        if k > 1:
+            # the first probe above the root, the last below that one (rounding
+            # can make f non-monotone), and the probe with the shortest
+            # engaged Newton step (the iterate if none is engaged)
+            right = np.where(f > 0, p, hi_a[:, None]).min(axis=1)
+            left = np.where((f < 0) & (p < right[:, None]), p, lo_a[:, None]).max(axis=1)
+            best = np.where(engaged, np.abs(step), np.inf).argmin(axis=1)
+            best += k * np.arange(active.size)
+            p, step, engaged = p.flat[best], step.flat[best], engaged.flat[best]
+        else:
+            left = np.where(f < 0, p, lo_a)
+            right = np.where(f > 0, p, hi_a)
         newton = p - step
         settled = engaged & (np.abs(step) <= 64 * np.finfo(float).eps * np.maximum(1.0, p))
         inside = (newton > left) & (newton < right)
         phi[active] = np.where(settled, np.clip(newton, left, right),
                                np.where(inside, newton, 0.5 * (left + right)))
         lo[active], hi[active] = left, right
-        active = active[~(settled | _narrow(left, right))]
+        keep = ~(settled | _narrow(left, right))
+        active = active[keep]
+        probing = 4 * active.size <= PROBE_BUDGET and not np.all(inside[keep])
 
     # a bracket holds a sign change of the residual by construction
     err, dtheta = node_errors(spec, phi)

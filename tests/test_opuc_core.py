@@ -239,6 +239,47 @@ def test_moments_roundtrip_with_forward_map(rng):
     assert np.max(np.abs(back - alphas)) < 1e-11
 
 
+def _grown_step(phi, phi_star, ak):
+    """One Szego step on coefficient vectors grown by concatenation and padding."""
+    zphi, star = np.concatenate(([0.0 + 0.0j], phi)), np.pad(phi_star, (0, 1))
+    return zphi - ak * star, star - np.conj(ak) * zphi
+
+
+def _levinson_reference(c, n):
+    """The Levinson loop on fresh, growing arrays (no validation)."""
+    phi = phi_star = np.array([1.0 + 0.0j])
+    out = np.zeros(n, dtype=complex)
+    for k in range(n):
+        num = np.sum(phi * np.conj(c[1:len(phi) + 1]))
+        den = np.sum(phi_star * np.conj(c[:len(phi_star)]))
+        out[k] = num / den
+        phi, phi_star = _grown_step(phi, phi_star, out[k])
+    return out
+
+
+def _moments_reference(alphas, n):
+    """The inverse loop on fresh, growing arrays."""
+    phi = phi_star = np.array([1.0 + 0.0j])
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = 1.0
+    for k in range(1, n + 1):
+        phi, phi_star = _grown_step(phi, phi_star, alphas[k - 1] if k - 1 < len(alphas) else 0.0)
+        c[k] = np.conj(-np.sum(phi[:-1] * np.conj(c[:k])))
+    return c
+
+
+@pytest.mark.parametrize("n", [23, 63])
+def test_levinson_in_place_bit_identical(rng, n):
+    c = sq.moments_from_alphas(random_disk_points(rng, n, radius=0.6), n)
+    assert np.array_equal(sq.verblunsky_from_moments(c, n), _levinson_reference(c, n))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_moments_in_place_bit_identical(rng, n):
+    alphas = random_disk_points(rng, n - 8, radius=0.6)   # zeros past the given entries
+    assert np.array_equal(sq.moments_from_alphas(alphas, n), _moments_reference(alphas, n))
+
+
 def test_extracted_polynomials_orthogonal_under_toeplitz_product(rng):
     # <Phi_k, z^j> = sum_l phi_{k,l} c_{j-l} must vanish for j < k
     angles = np.sort(rng.uniform(0, 2 * np.pi, 9))

@@ -417,12 +417,38 @@ def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
     sq.find_nodes(spec)
     grid, levels, check = calls[0], calls[1:-1], calls[-1]
     assert grid == 2 * n + 1 and check == n
-    # one pass per Newton level, on the active nodes only
+    # one pass per Newton level, on the active nodes only; once few are left
+    # their brackets fill the pass up to the probe budget
     assert levels[0] == n
-    assert all(later <= earlier for earlier, later in zip(levels, levels[1:]))
+    assert max(levels) <= max(n, rulegen.PROBE_BUDGET)
     # bisection from a grid cell of width pi/n to 4 ulps, plus a few Newton passes
     bisections = int(np.ceil(np.log2((np.pi / n) / (4 * np.spacing(TWO_PI)))))
     assert len(levels) <= bisections + 16
+
+
+def test_find_nodes_pass_counts_localized(monkeypatch):
+    # the benchmark's localized rules at eta = 1 (e^{0.7i} for residual_scale):
+    # with one point per pass for the last stiff nodes they took 249 passes,
+    # 48 of them for one rule; probing whole brackets takes 150 and 18.
+    # A few passes of slack absorb libm rounding on other platforms.
+    calls = []
+
+    def spy(alphas, phi):
+        calls.append(np.size(phi))
+        return prufer_phase(alphas, phi)
+
+    monkeypatch.setattr(rulegen, "prufer_phase", spy)
+    inputs = [(sq.Geronimus(a), n, 1.0, None) for a in (-0.6, -0.4, 0.4j) for n in (64, 128)]
+    inputs += [(_LOCALIZED[2], n, 1.0, None) for n in (64, 128)]
+    inputs += [(sq.Geronimus(0.6), 32, 1.0, 0.0),                    # winding_seam
+               (sq.Geronimus(0.4j), 128, np.exp(0.7j), None)]        # residual_scale
+    per_rule = []
+    for measure, n, eta, node_at in inputs:
+        calls.clear()
+        sq.generate_rule(measure, n, 0, eta=eta, node_at=node_at)
+        per_rule.append(len(calls))
+    assert sum(per_rule) <= 150 + 5
+    assert max(per_rule) <= 18 + 2
 
 
 @pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Geronimus(-0.4),
@@ -489,6 +515,24 @@ def test_geronimus_builds_past_absolute_residual():
     rule = sq.generate_rule(measure, 128, 0, eta=np.exp(0.75j * np.pi))
     ref = _mp_christoffel(sq.verblunsky_prefix(measure, 127), rule.nodes)
     assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
+
+
+def test_geronimus_close_pair_at_mass_point():
+    # Geronimus(0.9), n = 16: two nodes sit 4.9e-10 on either side of phi = 0,
+    # in one grid cell. The finder used to return them 4.0e-14 apart and raise
+    # NodeCountError; the true gap is 9.73e-10, the CMV-eigenvalue gap
+    spec = spec_for_rule(sq.Geronimus(0.9), 16, 0)
+    alphas = build_modified_sequence(spec)
+    nodes = sq.find_nodes(spec)
+    assert np.max(node_errors(spec, nodes)[0]) <= NODE_TOL
+    assert nodes[0] + TWO_PI - nodes[-1] == pytest.approx(9.73e-10, rel=1e-3)
+    for x in (nodes[0], nodes[-1]):
+        # the finder works to absolute ulps of the angles in [0, 2pi]
+        root = _mp_phase_root(alphas, spec.eta, x)
+        assert float(abs(mpmath.mpf(x) - root)) <= 4 * np.spacing(max(x, 1.0))
+    # the rule itself loses 3.9e-7 of the mass to these two nodes
+    with pytest.raises(PositivityViolationError, match="weights sum to"):
+        sq.generate_rule(sq.Geronimus(0.9), 16, 0)
 
 
 @pytest.mark.parametrize("measure, n", [(sq.BernsteinSzego(0.5), 64), (sq.Geronimus(0.4j), 128),
