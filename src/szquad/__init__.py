@@ -3,7 +3,7 @@
 Rules with n nodes and prescribed degree of exactness n-1-m are built from
 a measure's recurrence coefficients plus m free tail coefficients and a
 unimodular boundary parameter. The weights are Christoffel numbers,
-cross-checked by three independent formulas. A validation layer (exactness,
+cross-checked by the second-kind formula. A validation layer (exactness,
 orthogonality, zero separation, interlacing, weight asymptotics) and a
 transfer to Gauss/Radau/Lobatto-type rules on [-1, 1] come with them.
 """
@@ -51,10 +51,7 @@ from .rulegen import (
     eta_for_node_at,
     find_nodes,
     generate_rule,
-    nodes_polynomial,
-    weights_qm_formula,
     weights_second_kind,
-    weights_vandermonde_oracle,
 )
 from .validation import (
     AsymptoticReport,

@@ -67,6 +67,3 @@ class LogSingularityError(SzquadError):
 class DegenerateSpecError(SzquadError):
     """Series construction broke down (vanishing constant term)."""
 
-
-class ConditioningWarning(UserWarning):
-    """Least-squares weight recovery is ill-conditioned (near-coincident nodes)."""

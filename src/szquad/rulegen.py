@@ -21,11 +21,10 @@ coefficients costs about N*(10 us + 24 ns*points), so once few nodes are
 left and Newton has to bisect one of them, each of them probes its whole
 bracket in the pass, PROBE_BUDGET points in all, and gains several bits
 per pass instead of one bisection step. The weights are the Christoffel
-numbers of the concatenated sequence at the nodes; the second-kind,
-split-form and least-squares formulas here cross-check them.
+numbers of the concatenated sequence at the nodes; the second-kind
+formula here cross-checks them.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from . import measures
 from .errors import (
     ArityError,
-    ConditioningWarning,
     InternalConsistencyError,
     InvalidCoefficientsError,
     NodeCountError,
@@ -44,7 +42,6 @@ from .opuc_core import (
     christoffel_weights,
     prufer_phase,
     szego_coeffs,
-    szego_constant,
     szego_eval,
 )
 
@@ -127,12 +124,6 @@ def build_qm(tail, eta):
     if beta.size and np.max(np.abs(beta)) > 1.0 - TAIL_MARGIN:
         raise InvalidCoefficientsError("tail coefficients too close to the unit circle")
     return szego_coeffs(beta)[0]
-
-
-def nodes_polynomial(spec):
-    """Coefficients (ascending) of the monic nodes polynomial T_n."""
-    phi, phi_star, _, _ = szego_coeffs(build_modified_sequence(spec))
-    return np.concatenate(([0.0 + 0.0j], phi)) + spec.eta * np.pad(phi_star, (0, 1))
 
 
 class PhaseFunction:
@@ -287,12 +278,9 @@ def find_nodes(spec):
     return nodes
 
 
-def _real_positive(mu, what, rel_imag=0.0):
+def _real_positive(mu, what):
     mu = np.asarray(mu)
-    # rel_imag loosens the check per weight: measures with near-vanishing
-    # density (deep |Phi| valleys) leave rounding dust proportional to mu
-    tol = np.maximum(1e-12, rel_imag * np.abs(mu.real))
-    if np.any(np.abs(mu.imag) > tol):
+    if np.any(np.abs(mu.imag) > 1e-12):
         raise PositivityViolationError(
             f"{what}: imaginary residue {np.max(np.abs(mu.imag)):.3e} beyond tolerance"
         )
@@ -312,70 +300,6 @@ def weights_second_kind(spec, nodes):
     num = z * sb.phi - spec.eta * sb.phi_star
     den = eb.phi + z * eb.dphi + spec.eta * eb.dphi_star
     return _real_positive(num / (2.0 * z * den), "second-kind weight formula")
-
-
-def weights_qm_formula(spec, nodes):
-    """Weight formula in split form, using only first-kind data and q_m:
-
-        mu_s = -eta * K * z_s^{n-1} |q_m(z_s)|^2
-               / [(z q_m Phi - eta q_m* Phi*)(z_s) * (z q_m Phi + eta q_m* Phi*)'(z_s)]
-
-    with Phi = Phi_{n-m-1} and K = 2 prod (1 - |a_j|^2) over the base.
-    """
-    z = np.exp(1j * np.asarray(nodes, dtype=float))
-    base = np.asarray(spec.base, dtype=complex)
-    beta = qm_recurrence_coeffs(spec.tail, spec.eta)
-    kconst = szego_constant(base)
-    eb = szego_eval(base, z, with_derivatives=True)
-    qb = szego_eval(beta, z, with_derivatives=True)
-    q, qs = qb.phi, qb.phi_star
-    dq, dqs = qb.dphi, qb.dphi_star
-    f, fs = eb.phi, eb.phi_star
-    df, dfs = eb.dphi, eb.dphi_star
-    a_val = z * f * q - spec.eta * fs * qs
-    b_der = f * q + z * (df * q + f * dq) + spec.eta * (dfs * qs + fs * dqs)
-    mu = -spec.eta * kconst * z ** (spec.n - 1) * np.abs(q) ** 2 / (a_val * b_der)
-    return _real_positive(mu, "split-form weight formula", rel_imag=1e-8)
-
-
-def weights_vandermonde_oracle(nodes, c, k_max, return_residual=False):
-    """Least-squares recovery of weights from the moment conditions
-    sum_s mu_s e^{-ik phi_s} = c_k, k = 0..k_max.
-
-    Independent of any recurrence machinery; used to cross-check the
-    analytic formulas. With k_max = n-1 the system determines the weights
-    uniquely, but the moments fed in must then be ones the node set can
-    actually match: for a reduced-exactness rule that means the moments of
-    its modified coefficient sequence, not of the original measure (which
-    the rule only matches through k = n-1-m). Warns (ConditioningWarning)
-    when the node system is ill-conditioned.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    c = np.asarray(c, dtype=complex)
-    if k_max > len(c) - 1:
-        raise ValueError(f"need moments to k_max={k_max}, have {len(c) - 1}")
-    rows = []
-    rhs = []
-    for k in range(k_max + 1):
-        rows.append(np.cos(k * nodes))
-        rhs.append(c[k].real)
-        if k > 0:
-            rows.append(-np.sin(k * nodes))
-            rhs.append(c[k].imag)
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
-    mu, _, rank, sv = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    resid = float(np.max(np.abs(a_mat @ mu - b_vec)))
-    if rank < min(a_mat.shape) or sv[0] > 1e10 * sv[-1]:
-        warnings.warn(
-            f"near-coincident nodes: rank {rank}, condition {sv[0] / max(sv[-1], 1e-300):.2e}, "
-            f"residual {resid:.2e}",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-    if return_residual:
-        return mu, resid
-    return mu
 
 
 @dataclass(frozen=True)

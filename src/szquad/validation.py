@@ -29,14 +29,15 @@ from .errors import (
 from .opuc_core import (
     inverse_szego,
     moments_from_alphas,
+    prufer_phase,
     reversed_poly,
     szego_coeffs,
     szego_constant,
     szego_eval,
 )
 from .rulegen import (
-    ParaOrthogonalSpec,
     QuadratureRule,
+    _check_eta,
     build_qm,
     find_nodes,
     generate_rule,
@@ -123,16 +124,26 @@ class CaratheodoryReport:
         }
 
 
-def _halves_from_rule(rule):
-    """T = prod (z - z_s) and N with N/T = -sum mu_s (z + z_s)/(z - z_s)."""
-    zs = np.exp(1j * rule.nodes)
-    t_poly = P.polyfromroots(zs)
-    n_poly = np.zeros(rule.n + 1, dtype=complex)
-    for z0, w in zip(zs, rule.weights):
-        quo, _ = P.polydiv(t_poly, np.array([-z0, 1.0]))
-        term = P.polymul(np.array([z0, 1.0]), quo)
-        n_poly[: len(term)] -= w * term
-    return t_poly, n_poly
+def _nodes_polys(nodes, weights=None):
+    """Coefficients (ascending) of T = prod (z - z_s) and, with weights, of
+    N = -T sum mu_s (z + z_s)/(z - z_s), z_s = e^{i phi_s}: the FFT of their
+    values at the n+1 roots of unity turned by rho to the middle of the
+    widest gap of the nodes mod 2pi/(n+1), so that no point meets a node."""
+    n = len(nodes)
+    h = TWO_PI / (n + 1)
+    r = np.sort(np.mod(nodes, h))
+    gaps = np.diff(np.append(r, r[0] + h))
+    g = int(np.argmax(gaps))
+    rho = r[g] + gaps[g] / 2.0
+    w = np.exp(1j * (rho + h * np.arange(n + 1)))[:, None]
+    z = np.exp(1j * nodes)
+    t_vals = np.prod(w - z, axis=1)
+    unrotate = np.exp(-1j * rho * np.arange(n + 1)) / (n + 1)
+    t_poly = np.fft.fft(t_vals) * unrotate
+    if weights is None:
+        return t_poly
+    herglotz = ((w + z) / (w - z)) @ weights
+    return t_poly, np.fft.fft(-t_vals * herglotz) * unrotate
 
 
 def _halves_from_spec(spec):
@@ -168,11 +179,10 @@ def caratheodory_match(rule_or_spec, c):
     """
     obj = rule_or_spec
     if isinstance(obj, QuadratureRule):
-        t_poly, n_poly = _halves_from_rule(obj)
-        n, m = obj.n, obj.m
+        t_poly, n_poly = _nodes_polys(obj.nodes, obj.weights)
     else:
         t_poly, n_poly = _halves_from_spec(obj)
-        n, m = obj.n, obj.m
+    n, m = obj.n, obj.m
     order = n - m - 1
     c = np.asarray(c, dtype=complex)
     if len(c) < order + 1:
@@ -205,10 +215,9 @@ def _trig_nodes_coeffs(nodes):
     nu integer (odd entries appear when the node count is odd)."""
     nodes = np.asarray(nodes, dtype=float)
     nn = len(nodes)
-    w_poly = P.polyfromroots(np.exp(1j * nodes))
     pref = (2.0j) ** (-nn) * np.exp(-0.5j * np.sum(nodes))
     nus = 2 * np.arange(nn + 1) - nn
-    return nus, pref * w_poly
+    return nus, pref * _nodes_polys(nodes)
 
 
 def _trig_eval(nus, coeffs, psi):
@@ -525,8 +534,7 @@ def _explicit_weight_orthogonality(spec):
 
 @dataclass(frozen=True)
 class InterlacingReport:
-    reference_zeros: np.ndarray   # zeros of the level-(n-l) para-orthogonal polynomial
-    arc_counts: tuple             # rule nodes strictly inside each circular arc
+    arc_counts: tuple             # rule nodes in each circular arc between zeros
     violations: int               # arcs containing no rule node
 
     def to_record(self):
@@ -537,23 +545,23 @@ class InterlacingReport:
 def check_interlacing(rule, measure, l, kappa):
     """Every circular arc between consecutive zeros of the level-(n-l)
     para-orthogonal polynomial (parameter kappa) must contain at least one
-    rule node; requires m <= l <= n-1."""
+    rule node; requires m <= l <= n-1. The zeros are where the increasing
+    Prufer phase of that level crosses arg(-kappa) mod 2pi, so the phase at
+    0 and at the nodes places each node in an arc; arcs are counted from
+    the first zero in [0, 2pi).
+    """
     n, m = rule.n, rule.m
     if not (m <= l <= n - 1):
         raise ValueError(f"need m <= l <= n-1, got l={l}, m={m}, n={n}")
     level = n - l
     base = measures.verblunsky_prefix(measure, level - 1)
-    ref_spec = ParaOrthogonalSpec(base, (), kappa, level, 0)
-    psi = find_nodes(ref_spec)
-    counts = []
-    ext = np.concatenate([psi, [psi[0] + TWO_PI]])
-    for i in range(level):
-        lo, hi = ext[i], ext[i + 1]
-        lifted = np.where(rule.nodes < lo, rule.nodes + TWO_PI, rule.nodes)
-        counts.append(int(np.sum((lifted > lo) & (lifted < hi))))
-    violations = sum(1 for cnt in counts if cnt == 0)
-    return InterlacingReport(reference_zeros=psi, arc_counts=tuple(counts),
-                             violations=int(violations))
+    theta = prufer_phase(base, np.concatenate([[0.0], rule.nodes]))[0]
+    turns = (theta - np.angle(-_check_eta(kappa))) / TWO_PI
+    # turns[0] is an integer when a zero sits at 0, which then opens arc 0
+    arcs = (np.floor(turns[1:]) - np.ceil(turns[0])).astype(int) % level
+    counts = np.bincount(arcs, minlength=level)
+    return InterlacingReport(arc_counts=tuple(int(v) for v in counts),
+                             violations=int(np.count_nonzero(counts == 0)))
 
 
 # --- weight asymptotics -----------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 import szquad as sq
 
+from oracles import nodes_polynomial
+
 P = np.polynomial.polynomial
 
 
@@ -38,7 +40,7 @@ def companion_nodes(spec):
 
     Eigenvalue-based oracle for the phase-bisection node finder.
     """
-    coeffs = sq.nodes_polynomial(spec)
+    coeffs = nodes_polynomial(spec)
     roots = np.roots(coeffs[::-1])
     assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-8
     return np.sort(np.mod(np.angle(roots), 2 * np.pi))

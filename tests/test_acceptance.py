@@ -15,6 +15,7 @@ from szquad.opuc_core import moments_from_alphas
 from szquad.rulegen import build_modified_sequence, spec_for_rule
 
 from conftest import grid_moments
+from oracles import nodes_polynomial, weights_qm_formula, weights_vandermonde_oracle
 
 
 def report(num, label, ok, detail=""):
@@ -54,9 +55,9 @@ def test_criterion_2_bernstein_szego_golden():
         rep = sq.check_exactness(rule, c, n + 1)
         ok &= rep.precise_degree == n - 1 and np.min(rule.weights) > 0
         pspec = spec_for_rule(spec, n, 0, (), 1.0)
-        w_split = sq.weights_qm_formula(pspec, rule.nodes)
+        w_split = weights_qm_formula(pspec, rule.nodes)
         c_mod = moments_from_alphas(build_modified_sequence(pspec), max(n - 1, 0))
-        w_lsq = sq.weights_vandermonde_oracle(rule.nodes, c_mod, n - 1)
+        w_lsq = weights_vandermonde_oracle(rule.nodes, c_mod, n - 1)
         worst_triple = max(worst_triple,
                            float(np.max(np.abs(rule.weights - w_split) / rule.weights)),
                            float(np.max(np.abs(rule.weights - w_lsq) / rule.weights)))
@@ -87,7 +88,7 @@ def test_criterion_3_equivalence_suite():
 
         # (b) splitting identity at coefficient level
         pspec = spec_for_rule(measure, n, m, tail, eta)
-        lhs = sq.nodes_polynomial(pspec)
+        lhs = nodes_polynomial(pspec)
         q = sq.build_qm(tail, eta)
         qs = sq.reversed_poly(q, m)
         phi, phi_star, _, _ = sq.szego_coeffs(base)

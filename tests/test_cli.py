@@ -298,3 +298,26 @@ def test_verify_node_at_zero_rule(tmp_path, capsys):
         ["verify", "--measure", "bernstein-szego:0.5", "--rule", str(path)], capsys)
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("change, verdict", [(None, "PASS"), ("node", "FAIL"), ("weight", "FAIL")])
+def test_verify_bernstein_szego_64_quarter_turn(tmp_path, capsys, change, verdict):
+    # the correct rule FAILed with 129 S-function violations while the nodes
+    # polynomial was expanded from sorted roots; rules moved by 1e-4 must FAIL
+    path = tmp_path / "rule.json"
+    code, _, _ = run_cli(
+        ["generate", "--measure", "bernstein-szego:0.5", "--n", "64",
+         "--eta", "0.25turns", "--output", str(path)], capsys)
+    assert code == 0
+    data = json.loads(path.read_text())
+    if change == "node":
+        data["nodes"][32] += 1e-4
+    elif change == "weight":
+        w = np.array(data["weights"])
+        w[np.argmax(w)] *= 1 + 1e-4
+        data["weights"] = (w / w.sum()).tolist()
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(
+        ["verify", "--measure", "bernstein-szego:0.5", "--rule", str(path)], capsys)
+    assert out.strip().splitlines()[-1] == verdict
+    assert code == (0 if verdict == "PASS" else 1)

@@ -8,7 +8,6 @@ import szquad as sq
 from szquad import rulegen
 from szquad.errors import (
     ArityError,
-    ConditioningWarning,
     InternalConsistencyError,
     InvalidCoefficientsError,
     PositivityViolationError,
@@ -24,6 +23,12 @@ from szquad.rulegen import (
 )
 
 from conftest import companion_nodes, random_rule_setup
+from oracles import (
+    ConditioningWarning,
+    nodes_polynomial,
+    weights_qm_formula,
+    weights_vandermonde_oracle,
+)
 
 P = np.polynomial.polynomial
 
@@ -61,7 +66,7 @@ def test_qm_splitting_identity(rng):
     for _ in range(10):
         measure, n, m, tail, eta = random_rule_setup(rng, n_max=12)
         spec = spec_for_rule(measure, n, m, tail, eta)
-        lhs = sq.nodes_polynomial(spec)
+        lhs = nodes_polynomial(spec)
         q = sq.build_qm(spec.tail, eta)
         qs = sq.reversed_poly(q, m)
         phi, phi_star, _, _ = sq.szego_coeffs(np.asarray(spec.base))
@@ -81,11 +86,11 @@ def test_qm_zeros_in_disk(rng):
 
 def test_nodes_polynomial_examples():
     spec = ParaOrthogonalSpec(np.zeros(3), (), 1.0, 4, 0)
-    assert np.allclose(sq.nodes_polynomial(spec), [1, 0, 0, 0, 1])
+    assert np.allclose(nodes_polynomial(spec), [1, 0, 0, 0, 1])
     spec = ParaOrthogonalSpec((), (), -1.0, 1, 0)
-    assert np.allclose(sq.nodes_polynomial(spec), [-1, 1])
+    assert np.allclose(nodes_polynomial(spec), [-1, 1])
     spec = ParaOrthogonalSpec([0.5], (), 1.0, 2, 0)
-    coeffs = sq.nodes_polynomial(spec)
+    coeffs = nodes_polynomial(spec)
     assert np.allclose(np.abs(np.roots(coeffs[::-1])), 1.0)
 
 
@@ -190,9 +195,9 @@ def test_triple_weight_agreement(rng):
         spec = spec_for_rule(measure, n, m, tail, eta)
         nodes = sq.find_nodes(spec)
         w_second = sq.weights_second_kind(spec, nodes)
-        w_split = sq.weights_qm_formula(spec, nodes)
+        w_split = weights_qm_formula(spec, nodes)
         c_mod = moments_from_alphas(build_modified_sequence(spec), max(n - 1, 0))
-        w_lsq = sq.weights_vandermonde_oracle(nodes, c_mod, n - 1)
+        w_lsq = weights_vandermonde_oracle(nodes, c_mod, n - 1)
         w_chr = sq.christoffel_weights(build_modified_sequence(spec), nodes)
         worst = max(worst,
                     np.max(np.abs(w_second - w_split) / w_second),
@@ -243,7 +248,7 @@ def test_geronimus_far_from_circle_no_overflow():
 def test_vandermonde_reproduces_own_weights(rng):
     rule = sq.generate_rule(sq.BernsteinSzego(0.5), 6, 0)
     c = rule.moments(5)
-    w = sq.weights_vandermonde_oracle(rule.nodes, c, 5)
+    w = weights_vandermonde_oracle(rule.nodes, c, 5)
     assert np.max(np.abs(w - rule.weights)) < 1e-12
 
 
@@ -251,14 +256,14 @@ def test_vandermonde_inconsistent_moments_residual(rng):
     rule = sq.generate_rule(sq.BernsteinSzego(0.5), 6, 0)
     c = rule.moments(5)
     c[1:] += 1e-3 * (rng.normal(size=5) + 1j * rng.normal(size=5))
-    _, resid = sq.weights_vandermonde_oracle(rule.nodes, c, 5, return_residual=True)
+    _, resid = weights_vandermonde_oracle(rule.nodes, c, 5, return_residual=True)
     assert resid > 1e-5
 
 
 def test_vandermonde_conditioning_warning():
     nodes = np.array([0.5, 0.5 + 1e-13, 2.0])
     with pytest.warns(ConditioningWarning):
-        sq.weights_vandermonde_oracle(nodes, np.array([1, 0, 0, 0.0]), 2)
+        weights_vandermonde_oracle(nodes, np.array([1, 0, 0, 0.0]), 2)
 
 
 def test_weight_formula_rejects_wrong_nodes():
@@ -555,5 +560,5 @@ def test_vandermonde_lebesgue_uniform():
     rule = sq.generate_rule(sq.Lebesgue(), 5, 0)
     c = np.zeros(5, dtype=complex)
     c[0] = 1.0
-    w = sq.weights_vandermonde_oracle(rule.nodes, c, 4)
+    w = weights_vandermonde_oracle(rule.nodes, c, 4)
     assert np.allclose(w, 0.2, atol=1e-13)

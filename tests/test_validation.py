@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import szquad as sq
+from szquad import rulegen, validation
 from szquad.errors import LogSingularityError, UnsupportedVariantError
-from szquad.rulegen import spec_for_rule
+from szquad.rulegen import ParaOrthogonalSpec, spec_for_rule
 
 from conftest import random_rule_setup
 
@@ -77,6 +78,17 @@ def test_caratheodory_detects_perturbation(rng):
     assert rep.max_error > 1e-4
 
 
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("measure", [sq.Lebesgue(), sq.BernsteinSzego(0.5)],
+                         ids=["lebesgue", "bernstein-szego"])
+def test_caratheodory_large_rules(rng, measure, n):
+    # the nodes polynomial expanded from sorted roots lost every digit here
+    rule = sq.generate_rule(measure, n, 0, eta=np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    rep = sq.caratheodory_match(rule, sq.moments(measure, n))
+    assert rep.max_error < 1e-12
+    assert rep.schur_in_disk
+
+
 # --- S-function ---------------------------------------------------------------
 
 def test_s_function_lebesgue_two_nodes():
@@ -107,6 +119,16 @@ def test_s_function_random_rules(rng):
         assert trace.interlacing_violations == 0
         assert trace.sign_consistent
         assert len(trace.s_zeros) == n
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("measure", [sq.Lebesgue(), sq.BernsteinSzego(0.5)],
+                         ids=["lebesgue", "bernstein-szego"])
+def test_s_function_large_rules(rng, measure, n):
+    rule = sq.generate_rule(measure, n, 0, eta=np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    trace = sq.s_function(rule, measure)
+    assert trace.interlacing_violations == 0
+    assert trace.weight_residual <= 1e-14
 
 
 def test_s_function_requires_half_degree_exactness():
@@ -186,9 +208,33 @@ def test_interlacing_same_level_distinct_eta(rng):
 def test_interlacing_lebesgue_explicit():
     rule = sq.generate_rule(sq.Lebesgue(), 4, 0)
     rep = sq.check_interlacing(rule, sq.Lebesgue(), 1, 1.0)
-    # reference zeros are the cube roots of -1
-    assert np.allclose(rep.reference_zeros, [np.pi / 3, np.pi, 5 * np.pi / 3])
+    # reference zeros are the cube roots of -1: arcs (pi/3, pi), (pi, 5pi/3)
+    # and (5pi/3, 7pi/3) hold 3pi/4, 5pi/4 and 7pi/4, pi/4
+    assert rep.arc_counts == (1, 1, 2)
     assert rep.violations == 0
+
+
+def test_interlacing_reference_zero_at_origin():
+    # kappa = -1: the reference zeros are the cube roots of 1, one of them at
+    # phi = 0, which opens arc 0
+    rule = sq.generate_rule(sq.Lebesgue(), 4, 0)
+    rep = sq.check_interlacing(rule, sq.Lebesgue(), 1, -1.0)
+    assert rep.arc_counts == (1, 2, 1)
+    assert rep.violations == 0
+
+
+def _reference_arc_counts(rule, measure, l, kappa):
+    """Rule nodes strictly inside each arc between the level-(n-l) zeros,
+    with the zeros found by find_nodes."""
+    level = rule.n - l
+    spec = ParaOrthogonalSpec(sq.verblunsky_prefix(measure, level - 1), (), kappa, level, 0)
+    psi = sq.find_nodes(spec)
+    ext = np.append(psi, psi[0] + 2 * np.pi)
+    counts = []
+    for lo, hi in zip(ext[:-1], ext[1:]):
+        lifted = np.where(rule.nodes < lo, rule.nodes + 2 * np.pi, rule.nodes)
+        counts.append(int(np.sum((lifted > lo) & (lifted < hi))))
+    return tuple(counts)
 
 
 def test_interlacing_random_ensemble(rng):
@@ -198,7 +244,20 @@ def test_interlacing_random_ensemble(rng):
         l = int(rng.integers(m, n))
         kappa = np.exp(1j * rng.uniform(0, 2 * np.pi))
         rep = sq.check_interlacing(rule, measure, l, kappa)
-        assert rep.violations == 0
+        expect = _reference_arc_counts(rule, measure, l, kappa)
+        assert rep.violations == sum(cnt == 0 for cnt in expect) == 0
+        assert rep.arc_counts == expect
+
+
+def test_interlacing_runs_no_node_finder(monkeypatch):
+    def forbidden(spec):
+        raise AssertionError("check_interlacing called find_nodes")
+
+    measure = sq.BernsteinSzego(0.5)
+    rule = sq.generate_rule(measure, 32, 0, eta=np.exp(0.4j))
+    monkeypatch.setattr(validation, "find_nodes", forbidden)
+    monkeypatch.setattr(rulegen, "find_nodes", forbidden)
+    assert sq.check_interlacing(rule, measure, 3, np.exp(0.7j)).violations == 0
 
 
 def test_interlacing_validates_l_range():
@@ -299,11 +358,10 @@ def test_real_imag_parts_of_inner_polynomial_alternate(rng):
     # the two halves of the rotated inner polynomial z*p: its real part
     # vanishes at the nodes, its imaginary part at the on-circle zeros of
     # eta*p* - z*p, and the two zero sets strictly alternate
-    from szquad.validation import _halves_from_rule
     for _ in range(10):
         measure, n, m, tail, eta = random_rule_setup(rng, n_max=14)
         rule = sq.generate_rule(measure, n, m, tail, eta)
-        _, n_poly = _halves_from_rule(rule)
+        _, n_poly = validation._nodes_polys(rule.nodes, rule.weights)
         roots = np.roots(n_poly[::-1])
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-7
         imag_zeros = np.sort(np.mod(np.angle(roots), 2 * np.pi))
