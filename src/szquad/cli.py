@@ -8,6 +8,7 @@ emitted in radians with 17 significant digits; complex literals are
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,6 +224,8 @@ def cmd_transform(args):
     return 0
 
 
+# built once per process: building the parser takes about 1 ms
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="szq",

@@ -134,6 +134,11 @@ def _circle_power(phi):
     return lambda r: np.exp(1j * (r * hi)) * np.exp(1j * (r * lo))
 
 
+# complex values per Schur-map block in `prufer_phase`: the block spans
+# max(1, min(_BLOCK_POINTS // points, nonzero coefficients)) coefficients
+_BLOCK_POINTS = 8192
+
+
 def prufer_phase(alphas, phi):
     """Lifted Prufer phase of B_N = z*Phi_N/Phi*_N at z = e^{i phi}, N = len(alphas).
 
@@ -156,24 +161,49 @@ def prufer_phase(alphas, phi):
     """
     a = as_verblunsky(alphas)
     phi = np.asarray(phi, dtype=float)
+    size = phi.size
+    # one point runs as two: numpy rounds an in-place complex product on one
+    # element differently from the same product out of place or on more
+    x = np.repeat(phi.reshape(-1), 2) if size == 1 else phi.reshape(-1)
     coefs, runs, trailing = _zero_runs(a)
-    power = _circle_power(phi)
-    z = np.exp(1j * phi)
-    b = z
-    dtheta = np.ones(phi.shape)
-    args = np.zeros(phi.shape)
-    for ak, run in zip(coefs, runs):
-        if run:
-            b = b * power(run)
-            dtheta = dtheta + run
-        w = 1.0 - ak.conjugate() * b
-        args += np.arctan2(w.imag, w.real)
-        dtheta = dtheta * ((1.0 - abs(ak) ** 2) / (w.real ** 2 + w.imag ** 2)) + 1.0
-        b = z * (b - ak) / w
+    power = _circle_power(x)
+    z = np.exp(1j * x)
+    b = z.copy()
+    dtheta = np.ones(x.shape)
+    # the factors w_k of up to `rows` coefficients at a time, so that one
+    # arctan2 and one ratio pass serve the whole block; row 0 of `args`
+    # carries the running sum of the arguments into the next block
+    rows = max(1, min(_BLOCK_POINTS // max(x.size, 1), len(coefs)))
+    w = np.empty((rows, x.size), dtype=complex)
+    w_rows = list(w)
+    args = np.zeros((rows + 1, x.size))
+    # Python's abs: numpy's complex absolute rounds some moduli differently
+    gains = np.array([1.0 - abs(ak) ** 2 for ak in coefs])
+    for start in range(0, len(coefs), rows):
+        stop = min(start + rows, len(coefs))
+        block_runs = runs[start:stop]
+        for ak, run, wk in zip(coefs[start:stop], block_runs, w_rows):
+            if run:
+                np.multiply(b, power(run), b)
+            np.multiply(ak.conjugate(), b, wk)
+            np.subtract(1.0, wk, wk)
+            np.subtract(b, ak, b)
+            np.multiply(z, b, b)
+            np.divide(b, wk, b)
+        wb = w[:stop - start]
+        np.arctan2(wb.imag, wb.real, out=args[1:stop - start + 1])
+        np.add.reduce(args[:stop - start + 1], axis=0, out=args[0])
+        ratios = gains[start:stop, None] / (wb.real ** 2 + wb.imag ** 2)
+        for ratio, run in zip(ratios, block_runs):
+            if run:
+                np.add(dtheta, run, dtheta)
+            np.multiply(dtheta, ratio, dtheta)
+            np.add(dtheta, 1.0, dtheta)
     if trailing:
-        b = b * power(trailing)
-        dtheta = dtheta + trailing
-    return (len(a) + 1) * phi - 2.0 * args, dtheta, b
+        np.multiply(b, power(trailing), b)
+        np.add(dtheta, trailing, dtheta)
+    theta = (len(a) + 1) * x - 2.0 * args[0]
+    return tuple(v[:size].reshape(phi.shape)[()] for v in (theta, dtheta, b))
 
 
 def christoffel_weights(alphas, phi):

@@ -17,7 +17,7 @@ for the lifted Prufer phase theta, strictly increasing with total increase
 Newton: one pass of the Schur map over a 2n+1 grid brackets every node,
 and Newton steps on theta, bisecting when a step leaves its bracket,
 converge the nodes still active, all of them in one pass. A pass over N
-coefficients costs about N*(10 us + 24 ns*points), so once few nodes are
+coefficients costs about N*(5 us + 17 ns*points), so once few nodes are
 left and Newton has to bisect one of them, each of them probes its whole
 bracket in the pass, PROBE_BUDGET points in all, and gains several bits
 per pass instead of one bisection step. The weights are the Christoffel
@@ -189,7 +189,7 @@ def find_nodes(spec):
     no rounding from the lifted n*phi.
 
     Each pass evaluates all active nodes in one `prufer_phase` call, and a
-    call over N coefficients costs about N*(10 us + 24 ns*points): the fixed
+    call over N coefficients costs about N*(5 us + 17 ns*points): the fixed
     part dominates up to some 64 points, so a pass on one stiff node costs
     about as much as a pass on 64. So when 4*a <= PROBE_BUDGET for a active
     nodes, and the last pass bisected one of them (or this is the first

@@ -288,7 +288,7 @@ class SFunctionTrace:
     s_values: np.ndarray        # kernel-transform values S(psi)
     r_values: np.ndarray        # rational-expansion values R(psi)
     t_values: np.ndarray        # nodes polynomial T(psi)
-    max_s_minus_r: float
+    max_s_minus_r: float        # max|S - R| / max|R| over psi
     weight_residual: float      # max_s |mu_s + S(phi_s)/(2 T'(phi_s))|
     s_zeros: np.ndarray
     arc_counts: tuple           # S-zeros per circular node arc (all should be 1)
@@ -380,7 +380,9 @@ def s_function(rule, measure, samples=None):
         herglotz += w * (z + zp) / (z - zp)
     t_vals = t_eval(psi)
     r_vals = (-1j * t_vals * herglotz).real
-    max_sr = float(np.max(np.abs(s_vals - r_vals))) if len(psi) else 0.0
+    # relative to the largest |R|: T and S carry the factor (2i)^-n of
+    # _trig_nodes_coeffs, which would make an absolute difference vanish
+    max_sr = float(np.max(np.abs(s_vals - r_vals)) / np.max(np.abs(r_vals))) if len(psi) else 0.0
 
     tprime = _nodes_poly_derivative(nodes)
     w_resid = float(np.max(np.abs(rule.weights + s_eval(nodes) / (2.0 * tprime))))

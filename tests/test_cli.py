@@ -56,6 +56,22 @@ def test_generate_deterministic(capsys):
     assert out1 == out2
 
 
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reuse_keeps_no_flags(capsys):
+    # one parser serves every call: a flag of one call must not carry over
+    # into the next, so the order of two calls does not change their output
+    with_tail = ["generate", "--measure", "bernstein-szego:0.5", "--n", "6",
+                 "--m", "1", "--tail", "0.3,0"]
+    without = ["generate", "--measure", "bernstein-szego:0.5", "--n", "6"]
+    forward = [run_cli(args, capsys)[1] for args in (with_tail, without)]
+    backward = [run_cli(args, capsys)[1] for args in (without, with_tail)]
+    assert forward == backward[::-1]
+    assert forward[0] != forward[1]
+
+
 def test_generate_reduced_rule(capsys):
     code, out, _ = run_cli(
         ["generate", "--measure", "bernstein-szego:0.5", "--n", "3", "--m", "1",

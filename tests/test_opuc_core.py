@@ -394,9 +394,18 @@ _STIFF = np.array([0.7 * np.exp(2j * np.pi * t) for t in np.random.default_rng(0
 @example(np.zeros(255, dtype=complex))                                    # all zeros
 @example(0.3 * np.exp(2j * np.pi * _rng.random(100)))                     # no zeros
 @example(np.concatenate([_STIFF, np.zeros(111)]))                         # stiff, n = 128
+@example(_block[:3])                                  # on 2049 points, blocks of 3:
+@example(_block[:4])                                  # one block, one past it,
+@example(_block[:5])                                  # two past it,
+@example(_block[:9])                                  # three full blocks
+@example(np.concatenate([_block[:3], np.zeros(40), _block[3:6]]))          # run between blocks
 def test_zero_run_kernels_match_plain_steps(alphas):
     n = len(alphas) + 1
-    _assert_kernels_match_reference(alphas, np.linspace(0.0, 2 * np.pi, 2 * n + 1))
+    # the 2n+1 grid, two points, and 2049 points, where a Schur-map block of
+    # prufer_phase spans 8192 // 2049 = 3 coefficients
+    for phi in (np.linspace(0.0, 2 * np.pi, 2 * n + 1), np.array([0.4, 5.1]),
+                np.linspace(0.0, 2 * np.pi, 2049)):
+        _assert_kernels_match_reference(alphas, phi)
     nodes = sq.find_nodes(ParaOrthogonalSpec(alphas, (), np.exp(0.3j), n, 0))
     _assert_kernels_match_reference(alphas, nodes)
 
@@ -412,6 +421,16 @@ def test_zero_run_phase_within_ulps():
             exact = np.array([complex(mpmath.expj((count + 1) * mpmath.mpf(float(p))))
                               for p in phi])
         assert np.max(np.abs(b - exact)) <= 4 * np.finfo(float).eps
+
+
+def test_prufer_phase_scalar_is_one_point():
+    # a scalar angle, a one-point array and the same point among others
+    # give the same bits
+    for x in np.linspace(0.1, 6.2, 7):
+        one = prufer_phase(_STIFF, np.array([x]))
+        many = prufer_phase(_STIFF, np.array([x, 1.0, 2.0]))
+        for got, ref, among in zip(prufer_phase(_STIFF, float(x)), one, many):
+            assert got.shape == () and got == ref[0] == among[0]
 
 
 def test_christoffel_weights_take_angles():
