@@ -124,25 +124,49 @@ class CaratheodoryReport:
         }
 
 
+def _spread_order(nodes):
+    """Indices of the nodes taken by angle in bit-reversed order: every prefix
+    of this order is spread over the whole circle."""
+    n = len(nodes)
+    i = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    bits = max(1, (n - 1).bit_length())
+    for b in range(bits):
+        rev |= ((i >> b) & 1) << (bits - 1 - b)
+    return np.argsort(nodes)[np.argsort(rev)]
+
+
 def _nodes_polys(nodes, weights=None):
     """Coefficients (ascending) of T = prod (z - z_s) and, with weights, of
     N = -T sum mu_s (z + z_s)/(z - z_s), z_s = e^{i phi_s}: the FFT of their
     values at the n+1 roots of unity turned by rho to the middle of the
-    widest gap of the nodes mod 2pi/(n+1), so that no point meets a node."""
+    widest gap of the nodes mod 2pi/(n+1), so that no point meets a node.
+    The factors go in _spread_order: in node order the partial products grow
+    like e^{0.32 n} and overflow near n = 2200."""
     n = len(nodes)
     h = TWO_PI / (n + 1)
     r = np.sort(np.mod(nodes, h))
     gaps = np.diff(np.append(r, r[0] + h))
     g = int(np.argmax(gaps))
     rho = r[g] + gaps[g] / 2.0
-    w = np.exp(1j * (rho + h * np.arange(n + 1)))[:, None]
-    z = np.exp(1j * nodes)
-    t_vals = np.prod(w - z, axis=1)
+    w = np.exp(1j * (rho + h * np.arange(n + 1)))
+    order = _spread_order(nodes)
+    z = np.exp(1j * np.asarray(nodes)[order])[:, None]
+    mu = None if weights is None else np.asarray(weights)[order]
+    t_vals = np.empty(n + 1, dtype=complex)
+    cauchy = np.empty(n + 1, dtype=complex)      # sum mu_s / (w - z_s)
+    cols = max(1, 2 ** 21 // max(n, 1))    # bounds the (n, cols) blocks to 32 MB
+    for lo in range(0, n + 1, cols):
+        diff = w[lo:lo + cols] - z
+        t_vals[lo:lo + cols] = np.prod(diff, axis=0)
+        if mu is not None:
+            cauchy[lo:lo + cols] = mu @ np.reciprocal(diff, out=diff)
     unrotate = np.exp(-1j * rho * np.arange(n + 1)) / (n + 1)
     t_poly = np.fft.fft(t_vals) * unrotate
     if weights is None:
         return t_poly
-    herglotz = ((w + z) / (w - z)) @ weights
+    # (w + z_s)/(w - z_s) = 2w/(w - z_s) - 1
+    herglotz = 2.0 * w * cauchy - np.sum(mu)
     return t_poly, np.fft.fft(-t_vals * herglotz) * unrotate
 
 
@@ -209,77 +233,80 @@ def caratheodory_match(rule_or_spec, c):
 
 # --- trigonometric nodes polynomial and the kernel transform ---------------
 
+def _trig_phase(nodes):
+    """M with T(phi) = Re(M e^{-in phi/2} prod (e^{i phi} - z_s)) for the real
+    T(phi) = 2^n prod_s sin((phi - phi_s)/2). The factor 2^n keeps T near the
+    size of prod (z - z_s); without it T is subnormal at n = 1024."""
+    return np.exp(-0.5j * (np.sum(nodes) + len(nodes) * np.pi))
+
+
 def _trig_nodes_coeffs(nodes):
-    """Coefficients of T(phi) = prod_s sin((phi - phi_s)/2) on the doubled
+    """Coefficients of T(phi) = 2^n prod_s sin((phi - phi_s)/2) on the doubled
     frequency grid: returns (nu, co) with T = sum_j co[j] e^{i (nu[j]/2) phi},
     nu integer (odd entries appear when the node count is odd)."""
     nodes = np.asarray(nodes, dtype=float)
     nn = len(nodes)
-    pref = (2.0j) ** (-nn) * np.exp(-0.5j * np.sum(nodes))
-    nus = 2 * np.arange(nn + 1) - nn
-    return nus, pref * _nodes_polys(nodes)
+    return 2 * np.arange(nn + 1) - nn, _trig_phase(nodes) * _nodes_polys(nodes)
 
 
-def _trig_eval(nus, coeffs, psi):
-    psi = np.asarray(psi, dtype=float)
-    acc = np.zeros(psi.shape, dtype=complex)
-    for nu, co in zip(nus, coeffs):
-        acc += co * np.exp(0.5j * nu * psi)
-    return acc
+def _kernel_poly(nodes, t_poly, c):
+    """The kernel transform S of T as S(psi) = Im(sum_j beta_j e^{ij psi}) / q(psi).
+
+    Even n: q = 1, and with T = sum_k a_k e^{ik phi} (a_{-k} = conj(a_k)),
+    the modewise formula of the module docstring sums to beta_j = 4 b_j for
+    j >= 1 and beta_0 = 2 b_0 - a_0, where b_j = sum_{l>=0} a_{j+l} e_l,
+    e_0 = 1/2, e_l = conj(c_l): one convolution. Odd n: T has half-integer frequencies, so
+    transform q*T with the positive half-degree factor q = cos((psi - phi_c)/2),
+    whose zero phi_c + pi sits mid-way in the widest node gap. Returns
+    (beta, phi_c), phi_c None for even n.
+    """
+    n = len(nodes)
+    # T is real, so co_{-nu} = conj(co_nu); imposing it keeps the rounding of
+    # the phase of _trig_phase, about 1e-14 rad, out of the one-sided sum,
+    # where it would bring in the conjugate function of T
+    full = _trig_phase(nodes) * t_poly
+    half = (full + np.conj(full[::-1]))[n // 2:] / 2.0
+    if n % 2 == 0:
+        a, phi_c = half, None
+    else:
+        # half holds the frequencies -1/2, 1/2, ..., n/2 of T
+        gaps = np.diff(np.append(nodes, nodes[0] + TWO_PI))
+        gi = int(np.argmax(gaps))
+        phi_c = float(np.mod(nodes[gi] + gaps[gi] / 2.0 + np.pi, TWO_PI))
+        a = 0.5 * (np.exp(-0.5j * phi_c) * half + np.exp(0.5j * phi_c) * np.append(half[1:], 0.0))
+    e = np.conj(c[: len(a)])
+    e[0] = 0.5
+    beta = 4.0 * np.convolve(a[::-1], e)[len(a) - 1::-1]
+    beta[0] = beta[0] / 2.0 - a[0]
+    return beta, phi_c
 
 
-def _kernel_transform(nus, coeffs, c):
-    """Apply the cotangent-difference kernel modewise. Input frequencies must
-    be integers (even nu); output is again on the doubled grid."""
-    if np.any(np.asarray(nus) % 2 != 0):
-        raise ValueError("kernel transform needs integer frequencies")
-    acc = {}
-
-    def add(nu, val):
-        acc[nu] = acc.get(nu, 0.0 + 0.0j) + val
-
-    for nu, t in zip(nus, coeffs):
-        k = int(nu) // 2
-        if k == 0:
-            continue
-        if k > 0:
-            add(0, t * (-1j) * np.conj(c[k]))
-            add(2 * k, t * (-1j))
-            for l in range(1, k):
-                add(2 * (k - l), t * (-2j) * np.conj(c[l]))
-        else:
-            kk = -k
-            add(0, t * 1j * c[kk])
-            add(-2 * kk, t * 1j)
-            for l in range(1, kk):
-                add(-2 * (kk - l), t * 2j * c[l])
-    nus_out = np.array(sorted(acc))
-    return nus_out, np.array([acc[v] for v in nus_out])
+def _powers(x, b):
+    """Rows x^0, x^1, ..., x^{b-1}."""
+    out = np.empty((b, len(x)), dtype=complex)
+    out[0] = 1.0
+    out[1:] = x
+    return np.cumprod(out, axis=0)
 
 
-def _trig_zeros_on_circle(nus, coeffs, expected, tol=1e-6):
-    """Angles of the on-circle zeros of an integer-frequency trig polynomial."""
-    kmax = int(np.max(np.abs(nus))) // 2
-    dense = np.zeros(2 * kmax + 1, dtype=complex)
-    for nu, co in zip(nus, coeffs):
-        dense[int(nu) // 2 + kmax] = co
-    roots = np.roots(dense[::-1])
-    on = roots[np.abs(np.abs(roots) - 1.0) < tol]
-    angles = np.sort(np.mod(np.angle(on), TWO_PI))
-    return angles, len(on) == expected
+def _poly_values(coefs, z):
+    """Values at z of the polynomials in the rows of coefs (ascending). With
+    b*b >= the length, p(z) = sum_j z^{bj} sum_i c_{bj+i} z^i: one matrix
+    product with z^0..z^{b-1}, then a sum weighted by z^{bj}."""
+    k, d = coefs.shape
+    b = math.isqrt(d - 1) + 1
+    pad = np.zeros((k, b * b), dtype=complex)
+    pad[:, :d] = coefs
+    low = _powers(z, b)
+    return np.sum((pad.reshape(k, b, b) @ low) * _powers(low[-1] * z, b), axis=1)
 
 
-def _circular_gap(a, b):
-    return np.abs((np.asarray(a) - np.asarray(b) + np.pi) % TWO_PI - np.pi)
-
-
-def _nodes_poly_derivative(nodes):
-    """T'(phi_s) = (1/2) prod_{t != s} sin((phi_s - phi_t)/2)."""
-    out = np.empty(len(nodes))
-    for i, p in enumerate(nodes):
-        others = np.delete(nodes, i)
-        out[i] = 0.5 * np.prod(np.sin((p - others) / 2.0))
-    return out
+def _node_distance(psi, nodes):
+    """Circular distance from each angle to the nearest of the sorted nodes."""
+    ext = np.concatenate([[nodes[-1] - TWO_PI], nodes, [nodes[0] + TWO_PI]])
+    p = np.mod(psi, TWO_PI)
+    i = np.searchsorted(ext, p)
+    return np.minimum(p - ext[i - 1], ext[i] - p)
 
 
 @dataclass(frozen=True)
@@ -290,11 +317,10 @@ class SFunctionTrace:
     t_values: np.ndarray        # nodes polynomial T(psi)
     max_s_minus_r: float        # max|S - R| / max|R| over psi
     weight_residual: float      # max_s |mu_s + S(phi_s)/(2 T'(phi_s))|
-    s_zeros: np.ndarray
-    arc_counts: tuple           # S-zeros per circular node arc (all should be 1)
-    sign_case: int              # sgn(S*T) mid-way in the widest gap of nodes and zeros
-    sign_consistent: bool       # the next point counterclockwise matches the sign case
-    interlacing_violations: int
+    arc_counts: tuple           # 1 where S changes sign across node arc i, else 0
+    sign_case: int              # sign shared by all recovered weights, 0 if mixed
+    sign_consistent: bool       # every recovered weight -S/(2T') is positive
+    interlacing_violations: int # nodes whose recovered weight is not positive
     skipped: tuple              # (angle, reason) pairs for dropped samples
 
     def to_record(self):
@@ -306,126 +332,82 @@ class SFunctionTrace:
         }
 
 
-def s_function(rule, measure, samples=None):
+def s_function(rule, c, samples=None):
     """Cross-check the kernel-transform polynomial S against the rational
     expansion R built from the weights, recover the weights from S, and
-    verify that the zeros of S separate the nodes.
+    verify that the zeros of S separate the nodes. c holds the moments
+    c_0..c_k of the measure, k >= n//2 + (n mod 2).
+
+    The weight identity S(phi_s) = -2 mu_s T'(phi_s) turns the separation
+    into a sign count: T' alternates at consecutive nodes and S has at most
+    n zeros, so when every recovered weight is positive, S has exactly one
+    zero on each node arc. For odd n, S = K/q with the half-degree factor q:
+    on a node set that is not an exact rule, S may change sign through the
+    pole at the zero of q instead, where a root count finds no zero; S then
+    misses R, and max_s_minus_r reports the set. The default samples are 8n
+    equispaced angles, evaluated by FFT; other samples, and the nodes, by
+    blocked power sums in e^{i psi}.
 
     Requires the rule to be exact at least on the half-degree class
     (n - 1 - m >= n//2 + (n mod 2)); below that the construction has no
     meaning and a ValueError is raised.
     """
     n, m = rule.n, rule.m
-    n_half = n // 2
-    gamma2 = n % 2
-    if n - 1 - m < n_half + gamma2:
-        raise ValueError(
-            f"S-function needs exactness degree >= {n_half + gamma2}, rule has {n - 1 - m}"
-        )
+    half = n // 2 + n % 2
+    if n - 1 - m < half:
+        raise ValueError(f"S-function needs exactness degree >= {half}, rule has {n - 1 - m}")
+    c = np.asarray(c, dtype=complex)
+    if len(c) < half + 1:
+        raise ValueError(f"need moments to k={half}, have {len(c) - 1}")
     nodes = rule.nodes
-    c = measures.moments(measure, n)
-
-    nus_t, co_t = _trig_nodes_coeffs(nodes)
-    if gamma2 == 0:
-        nus_s, co_s = _kernel_transform(nus_t, co_t, c)
-        q_of = None
-        phi_guard = None
-    else:
-        # odd node count: multiply by a positive half-degree factor q,
-        # transform q*T (integer frequencies), and divide q back out
-        gaps = np.diff(np.concatenate([nodes, [nodes[0] + TWO_PI]]))
-        gi = int(np.argmax(gaps))
-        phi_guard = float(np.mod(nodes[gi] + gaps[gi] / 2.0, TWO_PI))
-        phi_c = float(np.mod(phi_guard + np.pi, TWO_PI))
-        acc = {}
-        for nu_q, co_q in ((-1, np.exp(0.5j * phi_c) / 2.0), (1, np.exp(-0.5j * phi_c) / 2.0)):
-            for nu, co in zip(nus_t, co_t):
-                key = int(nu) + nu_q
-                acc[key] = acc.get(key, 0.0 + 0.0j) + co * co_q
-        nus_qt = np.array(sorted(acc))
-        co_qt = np.array([acc[v] for v in nus_qt])
-        nus_s, co_s = _kernel_transform(nus_qt, co_qt, c)
-        q_of = lambda psi: np.cos((np.asarray(psi, dtype=float) - phi_c) / 2.0)
-
-    def s_eval(psi):
-        vals = _trig_eval(nus_s, co_s, psi).real
-        return vals / q_of(psi) if q_of is not None else vals
-
-    def t_eval(psi):
-        return _trig_eval(nus_t, co_t, psi).real
+    t_poly, n_poly = _nodes_polys(nodes, rule.weights)
+    beta, phi_c = _kernel_poly(nodes, t_poly, c)
+    mult = _trig_phase(nodes)
+    polys = np.zeros((3, n + 1), dtype=complex)     # S's beta, T, N as polynomials in z
+    polys[0, : len(beta)] = beta
+    polys[1], polys[2] = t_poly, n_poly
 
     if samples is None:
         count = 8 * n
-        samples = (np.arange(count) + 0.5) * TWO_PI / count
-    samples = np.asarray(samples, dtype=float)
-
-    skipped = []
-    keep = np.ones(len(samples), dtype=bool)
-    near_node = np.min(_circular_gap(samples[:, None], nodes[None, :]), axis=1) < 1e-8
-    for ang in samples[near_node]:
-        skipped.append((float(ang), "kernel-singularity"))
-    keep &= ~near_node
-    if q_of is not None:
-        bad_q = np.abs(q_of(samples)) < 1e-6
-        for ang in samples[bad_q & keep]:
-            skipped.append((float(ang), "half-degree factor vanishes"))
-        keep &= ~bad_q
-    psi = samples[keep]
-
-    s_vals = s_eval(psi)
-    z = np.exp(1j * psi)
-    herglotz = np.zeros(len(psi), dtype=complex)
-    for p, w in zip(nodes, rule.weights):
-        zp = np.exp(1j * p)
-        herglotz += w * (z + zp) / (z - zp)
-    t_vals = t_eval(psi)
-    r_vals = (-1j * t_vals * herglotz).real
-    # relative to the largest |R|: T and S carry the factor (2i)^-n of
-    # _trig_nodes_coeffs, which would make an absolute difference vanish
+        psi = (np.arange(count) + 0.5) * TWO_PI / count
+        vals = count * np.fft.ifft(polys * np.exp(0.5j * (TWO_PI / count) * np.arange(n + 1)),
+                                   n=count, axis=1)
+    else:
+        psi = np.asarray(samples, dtype=float)
+        vals = _poly_values(polys, np.exp(1j * psi))
+    q = np.cos((psi - phi_c) / 2.0) if phi_c is not None else np.ones_like(psi)
+    near_node = _node_distance(psi, nodes) < 1e-8
+    bad_q = (np.abs(q) < 1e-6) & ~near_node
+    skipped = [(float(a), "kernel-singularity") for a in psi[near_node]]
+    skipped += [(float(a), "half-degree factor vanishes") for a in psi[bad_q]]
+    keep = ~(near_node | bad_q)
+    psi, q, vals = psi[keep], q[keep], vals[:, keep]
+    rot = mult * np.exp(-0.5j * n * psi)
+    s_vals = vals[0].imag / q
+    t_vals = (rot * vals[1]).real
+    r_vals = (1j * rot * vals[2]).real
     max_sr = float(np.max(np.abs(s_vals - r_vals)) / np.max(np.abs(r_vals))) if len(psi) else 0.0
 
-    tprime = _nodes_poly_derivative(nodes)
-    w_resid = float(np.max(np.abs(rule.weights + s_eval(nodes) / (2.0 * tprime))))
+    # S and T' at the nodes; T'(phi_s) = Re(i M e^{-in phi_s/2} z_s T'(z_s))
+    z = np.exp(1j * nodes)
+    at_nodes = _poly_values(np.stack([polys[0], np.append(P.polyder(t_poly), 0.0)]), z)
+    s_nodes = at_nodes[0].imag
+    if phi_c is not None:
+        s_nodes = s_nodes / np.cos((nodes - phi_c) / 2.0)
+    tprime = (1j * mult * np.exp(-0.5j * n * nodes) * z * at_nodes[1]).real
+    recovered = -s_nodes / (2.0 * tprime)
+    w_resid = float(np.max(np.abs(rule.weights - recovered)))
 
-    expected = n + gamma2
-    zeros, count_ok = _trig_zeros_on_circle(nus_s, co_s, expected)
-    if gamma2 == 1 and len(zeros):
-        drop = int(np.argmin(_circular_gap(zeros, phi_guard)))
-        zeros = np.delete(zeros, drop)
-
-    arc_counts = []
-    ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
-    for i in range(n):
-        lo, hi = ext[i], ext[i + 1]
-        lifted = np.where(zeros < lo, zeros + TWO_PI, zeros)
-        arc_counts.append(int(np.sum((lifted > lo) & (lifted < hi))))
-    violations = sum(1 for cnt in arc_counts if cnt != 1)
-    if len(zeros) != n or not count_ok:
-        violations += abs(len(zeros) - n) if len(zeros) != n else 1
-
-    # S*T is periodic; probe the widest circular gap of nodes and zeros (not
-    # the one holding the guard angle, where the half-degree factor vanishes)
-    # and read which kind of point comes next counterclockwise
-    points = np.concatenate([nodes, zeros])
-    is_node = np.arange(len(points)) < n
-    order = np.argsort(points, kind="stable")
-    points, is_node = points[order], is_node[order]
-    gaps = np.diff(np.concatenate([points, [points[0] + TWO_PI]]))
-    if phi_guard is not None:
-        gaps = np.where((phi_guard - points) % TWO_PI < gaps, -1.0, gaps)
-    g = int(np.argmax(gaps))
-    probe = points[g] + gaps[g] / 2.0
-    sgn = 1 if s_eval(np.array([probe]))[0] * t_eval(np.array([probe]))[0] > 0 else -1
-    node_next = bool(len(zeros) == n and is_node[(g + 1) % len(points)])
-    sign_consistent = (sgn > 0) == node_next
-    if not sign_consistent:
-        violations += 1
-
+    # S(phi + 2pi) = (-1)^n S(phi)
+    s_next = np.append(s_nodes[1:], (-1) ** n * s_nodes[0])
+    positive = recovered > 0
+    sign_case = 1 if np.all(positive) else (-1 if np.all(recovered < 0) else 0)
     return SFunctionTrace(
         psi=psi, s_values=s_vals, r_values=r_vals, t_values=t_vals,
         max_s_minus_r=max_sr, weight_residual=w_resid,
-        s_zeros=zeros, arc_counts=tuple(arc_counts), sign_case=sgn,
-        sign_consistent=sign_consistent, interlacing_violations=int(violations),
+        arc_counts=tuple((s_nodes * s_next < 0).astype(int).tolist()), sign_case=sign_case,
+        sign_consistent=bool(np.all(positive)),
+        interlacing_violations=int(np.count_nonzero(~positive)),
         skipped=tuple(skipped),
     )
 
@@ -447,10 +429,16 @@ class OrthogonalityReport:
         return rec
 
 
-def _moment_value(c, r):
-    """(1/2pi) int e^{i r phi} dsigma = conj(c_r) for r >= 0, c_{-r} below."""
-    r = int(r)
-    return np.conj(c[r]) if r >= 0 else c[-r]
+def _class_integrals(nus, co, c, top, gamma2):
+    """|(1/2pi) int t(phi) e^{i kappa phi/2} dsigma| for t = sum_j co[j]
+    e^{i nu[j] phi/2} and the test modes kappa = +-(2k + gamma2), k = 0..top
+    (+0 and -0 once), from one gather of the two-sided moment table:
+    (1/2pi) int e^{i r phi} dsigma = conj(c_r) for r >= 0, c_{-r} below."""
+    kappa = 2 * np.arange(top + 1) + gamma2
+    kappa = np.concatenate([kappa, -kappa[kappa != 0]])
+    r = (kappa[:, None] + np.asarray(nus)[None, :]) // 2
+    two_sided = np.concatenate([c[:0:-1], np.conj(c)])
+    return np.abs(two_sided[r + len(c) - 1] @ co)
 
 
 def check_orthogonality(rule_or_spec, measure):
@@ -478,23 +466,14 @@ def check_orthogonality(rule_or_spec, measure):
 
     c = measures.moments(measure, n)
     nus_t, co_t = _trig_nodes_coeffs(nodes)
-    worst = 0.0
-    checked = 0
-    for k in range(l + 1):
-        for sign in (1, -1):
-            kappa2 = sign * (2 * k + gamma2)   # doubled frequency of the test mode
-            total = 0.0 + 0.0j
-            for nu, co in zip(nus_t, co_t):
-                total += co * _moment_value(c, (kappa2 + int(nu)) // 2)
-            worst = max(worst, abs(total))
-            checked += 1
-            if kappa2 == 0:
-                break   # +0 and -0 are the same mode
+    totals = _class_integrals(nus_t, co_t, c, l, gamma2)
+    # relative to the size of the integrand: T carries the factor 2^n
+    worst = np.max(totals) / (np.sum(np.abs(co_t)) * np.max(np.abs(c)))
 
     explicit = math.nan
     if spec is not None and isinstance(measure, measures.Lebesgue):
         explicit = _explicit_weight_orthogonality(spec)
-    return OrthogonalityReport(max_violation=float(worst), n_checked=checked,
+    return OrthogonalityReport(max_violation=float(worst), n_checked=len(totals),
                                class_degree=l, explicit_weight_violation=explicit)
 
 
@@ -509,27 +488,13 @@ def _explicit_weight_orthogonality(spec):
     beta = qm_recurrence_coeffs(spec.tail, spec.eta)
     q = build_qm(spec.tail, spec.eta)
     qs = reversed_poly(q, m)
-    half_eta = np.exp(0.5j * np.angle(spec.eta))
-    # Re{half_eta e^{-in phi/2} q*} on the doubled frequency grid
-    modes = {}
-    for j, coef in enumerate(qs):
-        nu = 2 * j - n
-        modes[nu] = modes.get(nu, 0.0 + 0.0j) + half_eta * coef / 2.0
-        modes[-nu] = modes.get(-nu, 0.0 + 0.0j) + np.conj(half_eta * coef) / 2.0
+    # Re{eta^{1/2} e^{-in phi/2} q*} on the doubled frequency grid
+    hq = np.exp(0.5j * np.angle(spec.eta)) * qs / 2.0
+    nus = 2 * np.arange(len(qs)) - n
     cq = moments_from_alphas(beta, n)  # normalized moments of the q-measure
-    n_half = n // 2
-    gamma2 = n % 2
-    worst = 0.0
-    for k in range(n_half):
-        for sign in (1, -1):
-            kappa2 = sign * (2 * k + gamma2)
-            total = 0.0 + 0.0j
-            for nu, coef in modes.items():
-                total += coef * _moment_value(cq, (kappa2 + nu) // 2)
-            worst = max(worst, abs(total))
-            if kappa2 == 0:
-                break
-    return float(worst)
+    totals = _class_integrals(np.concatenate([nus, -nus]), np.concatenate([hq, np.conj(hq)]),
+                              cq, n // 2 - 1, n % 2)
+    return float(np.max(totals, initial=0.0))
 
 
 # --- interlacing against lower-level Szego nodes ----------------------------

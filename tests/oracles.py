@@ -1,19 +1,24 @@
-"""Weight formulas and the nodes polynomial in coefficient form, kept as
-test oracles.
+"""Weight formulas, the nodes polynomial in coefficient form and the
+S-function zeros by root extraction, kept as test oracles.
 
 The library computes weights one way (Christoffel numbers) and never
 expands the nodes polynomial; the routes here stay independent of that:
-the split form through q_m, least squares on the moment conditions, and
-coefficient-level recurrence algebra.
+the split form through q_m, least squares on the moment conditions,
+coefficient-level recurrence algebra, and np.roots where the library
+counts signs.
 """
 
 import warnings
 
 import numpy as np
 
+from szquad import validation
 from szquad.errors import PositivityViolationError
 from szquad.opuc_core import szego_coeffs, szego_constant, szego_eval
 from szquad.rulegen import build_modified_sequence, qm_recurrence_coeffs
+
+
+TWO_PI = 2.0 * np.pi
 
 
 class ConditioningWarning(UserWarning):
@@ -95,3 +100,69 @@ def weights_vandermonde_oracle(nodes, c, k_max, return_residual=False):
     if return_residual:
         return mu, resid
     return mu
+
+
+def trig_zeros_on_circle(nus, coeffs, expected, tol=1e-6):
+    """Angles of the on-circle zeros of an integer-frequency trig polynomial."""
+    kmax = int(np.max(np.abs(nus))) // 2
+    dense = np.zeros(2 * kmax + 1, dtype=complex)
+    for nu, co in zip(nus, coeffs):
+        dense[int(nu) // 2 + kmax] = co
+    roots = np.roots(dense[::-1])
+    on = roots[np.abs(np.abs(roots) - 1.0) < tol]
+    angles = np.sort(np.mod(np.angle(on), TWO_PI))
+    return angles, len(on) == expected
+
+
+def _circular_gap(a, b):
+    return np.abs((np.asarray(a) - np.asarray(b) + np.pi) % TWO_PI - np.pi)
+
+
+def s_zero_verdict(rule, c):
+    """Zero separation of the S-function by root extraction.
+
+    Takes the on-circle zeros of S (for odd n those of q*S, less the one
+    nearest the zero of q), counts them in each node arc, and probes
+    sgn(S*T) mid-way in the widest gap of nodes and zeros (not the one
+    holding the zero of q): the next point counterclockwise must be a node
+    exactly when the sign is positive. Returns (violations, sign_consistent,
+    arc_counts, zeros).
+    """
+    nodes, n = rule.nodes, rule.n
+    c = np.asarray(c, dtype=complex)
+    beta, phi_c = validation._kernel_poly(nodes, validation._nodes_polys(nodes), c)
+    # Im(sum_j beta_j z^j) on the doubled frequency grid
+    k = len(beta) - 1
+    nus = 2 * np.arange(-k, k + 1)
+    co = np.concatenate([-np.conj(beta[:0:-1]), [beta[0] - np.conj(beta[0])], beta[1:]]) / 2j
+    zeros, count_ok = trig_zeros_on_circle(nus, co, n + n % 2)
+    phi_guard = None
+    if phi_c is not None:
+        phi_guard = np.mod(phi_c + np.pi, TWO_PI)
+        if len(zeros):
+            zeros = np.delete(zeros, int(np.argmin(_circular_gap(zeros, phi_guard))))
+
+    arc_counts = []
+    ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
+    for i in range(n):
+        lifted = np.where(zeros < ext[i], zeros + TWO_PI, zeros)
+        arc_counts.append(int(np.sum((lifted > ext[i]) & (lifted < ext[i + 1]))))
+    violations = sum(1 for cnt in arc_counts if cnt != 1)
+    if len(zeros) != n or not count_ok:
+        violations += abs(len(zeros) - n) if len(zeros) != n else 1
+
+    points = np.concatenate([nodes, zeros])
+    is_node = np.arange(len(points)) < n
+    order = np.argsort(points, kind="stable")
+    points, is_node = points[order], is_node[order]
+    gaps = np.diff(np.concatenate([points, [points[0] + TWO_PI]]))
+    if phi_guard is not None:
+        gaps = np.where((phi_guard - points) % TWO_PI < gaps, -1.0, gaps)
+    g = int(np.argmax(gaps))
+    probe = validation.s_function(rule, c, samples=[points[g] + gaps[g] / 2.0])
+    sgn = 1 if probe.s_values[0] * probe.t_values[0] > 0 else -1
+    node_next = bool(len(zeros) == n and is_node[(g + 1) % len(points)])
+    sign_consistent = (sgn > 0) == node_next
+    if not sign_consistent:
+        violations += 1
+    return violations, sign_consistent, tuple(arc_counts), zeros

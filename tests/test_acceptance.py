@@ -124,7 +124,7 @@ def test_criterion_4_s_function_suite():
         eta = np.exp(1j * rng.uniform(0, 2 * np.pi))
         measure = sq.ExplicitVerblunsky(base)
         rule = sq.generate_rule(measure, n, m, tail, eta)
-        trace = sq.s_function(rule, measure)
+        trace = sq.s_function(rule, sq.moments(measure, n))
         worst_sr = max(worst_sr, trace.max_s_minus_r / n)
         worst_w = max(worst_w, trace.weight_residual)
         ok &= trace.max_s_minus_r <= 1e-9 * n

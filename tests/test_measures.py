@@ -154,3 +154,16 @@ def test_measure_id_tokens():
     assert sq.measure_id(sq.Lebesgue()) == "lebesgue"
     assert sq.measure_id(sq.BernsteinSzego(0.5)) == "bernstein-szego:0.5,0"
     assert "geronimus" in sq.measure_id(sq.Geronimus(0.1))
+
+
+@pytest.mark.parametrize("spec", [
+    sq.Lebesgue(),
+    sq.BernsteinSzego(0.5),
+    sq.Geronimus(0.35 + 0.2j),
+    sq.ExplicitVerblunsky([0.3, -0.2j, 0.1 + 0.25j, 0.05]),
+], ids=["lebesgue", "bernstein-szego", "geronimus", "explicit"])
+def test_moments_prefix_is_bit_identical(spec):
+    # szq sweep computes the moments once, at the largest n, and slices
+    full = sq.moments(spec, 64)
+    for n in (0, 1, 16, 33, 64):
+        assert np.array_equal(full[: n + 1], sq.moments(spec, n))

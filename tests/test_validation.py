@@ -9,6 +9,7 @@ from szquad.errors import LogSingularityError, UnsupportedVariantError
 from szquad.rulegen import ParaOrthogonalSpec, spec_for_rule
 
 from conftest import random_rule_setup
+from oracles import s_zero_verdict
 
 
 # --- exactness ---------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_caratheodory_large_rules(rng, measure, n):
 
 def test_s_function_lebesgue_two_nodes():
     rule = sq.generate_rule(sq.Lebesgue(), 2, 0)
-    trace = sq.s_function(rule, sq.Lebesgue(), samples=np.linspace(0.05, 6.2, 64))
+    trace = sq.s_function(rule, sq.moments(sq.Lebesgue(), 2), samples=np.linspace(0.05, 6.2, 64))
     assert trace.max_s_minus_r < 1e-11
     assert trace.weight_residual < 1e-10
     assert trace.interlacing_violations == 0
@@ -115,20 +116,20 @@ def test_s_function_random_rules(rng):
         eta = np.exp(1j * rng.uniform(0, 2 * np.pi))
         measure = sq.ExplicitVerblunsky(base)
         rule = sq.generate_rule(measure, n, m, tail, eta)
-        trace = sq.s_function(rule, measure)
+        trace = sq.s_function(rule, sq.moments(measure, n))
         assert trace.max_s_minus_r <= 1e-9 * n
         assert trace.weight_residual <= 1e-10
         assert trace.interlacing_violations == 0
         assert trace.sign_consistent
-        assert len(trace.s_zeros) == n
+        assert trace.arc_counts == (1,) * n
 
 
-@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
 @pytest.mark.parametrize("measure", [sq.Lebesgue(), sq.BernsteinSzego(0.5)],
                          ids=["lebesgue", "bernstein-szego"])
 def test_s_function_large_rules(rng, measure, n):
     rule = sq.generate_rule(measure, n, 0, eta=np.exp(1j * rng.uniform(0, 2 * np.pi)))
-    trace = sq.s_function(rule, measure)
+    trace = sq.s_function(rule, sq.moments(measure, n))
     assert trace.max_s_minus_r <= 1e-9 * n
     assert trace.interlacing_violations == 0
     assert trace.weight_residual <= 1e-14
@@ -137,33 +138,101 @@ def test_s_function_large_rules(rng, measure, n):
 @pytest.mark.parametrize("measure", [sq.Lebesgue(), sq.BernsteinSzego(0.5)],
                          ids=["lebesgue", "bernstein-szego"])
 def test_s_function_difference_is_relative(measure):
-    # T and S carry the factor (2i)^-n: the absolute max|S - R| read 6e-14
-    # at n = 32 for a weight moved by 1e-4, under the verify bound 3.2e-8;
-    # relative to max|R| it reads 9e-5
+    # relative to max|R|, a weight moved by 1e-4 reads 9e-5 at n = 32, far
+    # over the verify bound 3.2e-8, whatever the scale of T and S
     rule = sq.generate_rule(measure, 32, 0, eta=np.exp(0.4j))
     w = rule.weights.copy()
     w[np.argmax(w)] *= 1 + 1e-4
     moved = dataclasses.replace(rule, weights=w / w.sum())
-    assert sq.s_function(moved, measure).max_s_minus_r > 1e-6
+    assert sq.s_function(moved, sq.moments(measure, 32)).max_s_minus_r > 1e-6
+
+
+def _oracle_rules(rng, count, n_max):
+    """Random rules over four measure kinds with exactness at least the
+    half-degree class; every third one has m = 0, the others m > 0 where n
+    allows it."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, n_max + 1))
+        m_hi = n - 1 - (n // 2 + n % 2)
+        m = 0 if len(out) % 3 == 0 or m_hi < 1 else int(rng.integers(1, m_hi + 1))
+        kind = len(out) % 4
+        if kind == 0:
+            measure = sq.ExplicitVerblunsky(0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, n - m - 1))
+                                            * rng.uniform(0.1, 1.0, n - m - 1))
+        elif kind == 1:
+            measure = sq.BernsteinSzego(rng.uniform(-0.7, 0.7))
+        elif kind == 2:
+            measure = sq.Lebesgue()
+        else:
+            measure = sq.Geronimus(0.2 * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        tail = 0.6 * np.exp(1j * rng.uniform(0, 2 * np.pi, m)) * rng.uniform(0.1, 1.0, m)
+        eta = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        out.append((sq.generate_rule(measure, n, m, tail, eta), sq.moments(measure, n)))
+    return out
+
+
+def test_s_function_sign_count_matches_root_oracle(rng):
+    rules = _oracle_rules(rng, 72, 40) + _oracle_rules(rng, 8, 128)
+    assert {r.n % 2 for r, _ in rules} == {0, 1} and sum(r.m > 0 for r, _ in rules) >= 40
+    for rule, c in rules:
+        trace = sq.s_function(rule, c)
+        violations, consistent, arc_counts, _ = s_zero_verdict(rule, c)
+        assert (trace.interlacing_violations == 0) == (violations == 0)
+        if violations == 0:
+            assert trace.sign_consistent and consistent
+            assert trace.arc_counts == arc_counts == (1,) * rule.n
+
+
+def test_s_function_pushed_node_matches_root_oracle(rng):
+    # move node s past the S-zero in its arc (s, s+1), 95 % of the way to
+    # node s+1. S follows the nodes, so the moved set need not violate; the
+    # two checks must agree on which sets do. For odd n, S = K/q has a pole
+    # at the zero of the half-degree factor q: a set whose K has no zero in
+    # that arc changes sign there through the pole, which the sign count
+    # reads as separated and the root oracle does not; S then misses R
+    # everywhere, and max_s_minus_r fails the set instead.
+    both = 0
+    for rule, c in _oracle_rules(rng, 40, 40):
+        zeros = s_zero_verdict(rule, c)[3]
+        s = int(rng.integers(0, rule.n - 1))
+        inside = zeros[(zeros > rule.nodes[s]) & (zeros < rule.nodes[s + 1])]
+        nodes = rule.nodes.copy()
+        nodes[s] = inside[0] + 0.95 * (rule.nodes[s + 1] - inside[0])
+        moved = dataclasses.replace(rule, nodes=nodes)
+        trace = sq.s_function(moved, c)
+        violations = s_zero_verdict(moved, c)[0]
+        if rule.n % 2 and violations and not trace.interlacing_violations:
+            assert trace.max_s_minus_r > 1e-2
+        else:
+            assert (trace.interlacing_violations == 0) == (violations == 0)
+        both += bool(trace.interlacing_violations and violations)
+    assert both >= 20
 
 
 def test_s_function_requires_half_degree_exactness():
     rule = sq.generate_rule(sq.Lebesgue(), 6, 4, [0.1, 0.1, 0.1, 0.1], 1.0)
     with pytest.raises(ValueError):
-        sq.s_function(rule, sq.Lebesgue())
+        sq.s_function(rule, sq.moments(sq.Lebesgue(), 6))
+
+
+def test_s_function_needs_half_degree_moments():
+    rule = sq.generate_rule(sq.Lebesgue(), 8, 0)
+    with pytest.raises(ValueError, match="need moments to k=4"):
+        sq.s_function(rule, sq.moments(sq.Lebesgue(), 3))
 
 
 def test_s_function_skips_samples_near_nodes():
     rule = sq.generate_rule(sq.Lebesgue(), 4, 0)
     samples = np.concatenate([[rule.nodes[0] + 1e-12], np.linspace(0.1, 1.0, 5)])
-    trace = sq.s_function(rule, sq.Lebesgue(), samples=samples)
+    trace = sq.s_function(rule, sq.moments(sq.Lebesgue(), 4), samples=samples)
     assert len(trace.skipped) == 1
     assert trace.skipped[0][1] == "kernel-singularity"
 
 
 def test_s_function_record_fields():
     rule = sq.generate_rule(sq.Lebesgue(), 4, 0)
-    rec = sq.s_function(rule, sq.Lebesgue()).to_record()
+    rec = sq.s_function(rule, sq.moments(sq.Lebesgue(), 4)).to_record()
     assert "max_s_minus_r" in rec and "interlacing_violations" in rec
 
 
@@ -202,6 +271,20 @@ def test_orthogonality_explicit_weight_lebesgue(rng):
     rep = sq.check_orthogonality(spec, sq.Lebesgue())
     assert rep.max_violation < 1e-12
     assert rep.explicit_weight_violation < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 512])
+@pytest.mark.parametrize("measure", [sq.Lebesgue(), sq.BernsteinSzego(0.5)],
+                         ids=["lebesgue", "bernstein-szego"])
+def test_orthogonality_moved_node_fails(measure, n):
+    # relative to sum|co| max|c|: the absolute violation of a node moved by
+    # 1e-6 read 1.5e-11 at n = 16 and 7e-161 at n = 512
+    rule = sq.generate_rule(measure, n, 0, eta=np.exp(0.4j))
+    assert sq.check_orthogonality(rule, measure).max_violation < 1e-12
+    nodes = rule.nodes.copy()
+    nodes[n // 2] += 1e-6
+    moved = dataclasses.replace(rule, nodes=nodes)
+    assert sq.check_orthogonality(moved, measure).max_violation > 1e-8
 
 
 def test_orthogonality_empty_class():
@@ -359,13 +442,14 @@ def test_s_zero_separation_by_sign_changes(rng):
     # consecutive nodes instead of extracting polynomial roots
     measure = sq.ExplicitVerblunsky([0.35, -0.2j, 0.15 + 0.1j])
     rule = sq.generate_rule(measure, 4, 0, (), np.exp(0.8j))
-    trace = sq.s_function(rule, measure)
+    c = sq.moments(measure, 4)
+    trace = sq.s_function(rule, c)
     nodes = rule.nodes
     ext = np.concatenate([nodes, [nodes[0] + 2 * np.pi]])
-    assert len(trace.s_zeros) == rule.n
+    assert trace.arc_counts == (1,) * rule.n
     for i in range(rule.n):
         grid = np.linspace(ext[i] + 1e-6, ext[i + 1] - 1e-6, 200)
-        dense = sq.s_function(rule, measure, samples=grid)
+        dense = sq.s_function(rule, c, samples=grid)
         changes = np.sum(np.diff(np.sign(dense.s_values)) != 0)
         assert changes == 1
 
@@ -387,6 +471,17 @@ def test_real_imag_parts_of_inner_polynomial_alternate(rng):
             assert np.sum((lifted > ext[i]) & (lifted < ext[i + 1])) == 1
 
 
+@pytest.mark.parametrize("n", [2200, 4096])
+def test_nodes_polys_uniform_nodes_do_not_overflow(n):
+    # prod (z - e^{i(a + 2 pi s)/n}) = z^n - e^{ia}; in node order the
+    # partial products overflowed at n = 2200
+    a = 0.3
+    t_poly = validation._nodes_polys((a + 2 * np.pi * np.arange(n)) / n)
+    expect = np.zeros(n + 1, dtype=complex)
+    expect[0], expect[n] = -np.exp(1j * a), 1.0
+    assert np.max(np.abs(t_poly - expect)) < 1e-10
+
+
 def test_s_function_matches_direct_kernel_integral():
     # literal definition check for an even node count (where the nodes
     # polynomial is periodic and the integral is well defined):
@@ -399,14 +494,15 @@ def test_s_function_matches_direct_kernel_integral():
     measure = sq.BernsteinSzego(0.5)
     rule = sq.generate_rule(measure, 6, 1, [0.25], np.exp(0.3j))
     samples = np.array([0.7, 2.1, 4.4])
-    trace = sq.s_function(rule, measure, samples=samples)
+    trace = sq.s_function(rule, sq.moments(measure, 6), samples=samples)
     grid = 2 * np.pi * np.arange(16384) / 16384
     fvals = sq.density_eval(measure, grid)
 
     def t_eval(phis):
+        # T = 2^n prod sin((phi - phi_s)/2), the scale s_function uses
         out = np.ones_like(phis)
         for p in rule.nodes:
-            out = out * np.sin((phis - p) / 2)
+            out = out * 2 * np.sin((phis - p) / 2)
         return out
 
     t_grid = t_eval(grid)
