@@ -3,9 +3,9 @@
 Rules with n nodes and prescribed degree of exactness n-1-m are built from
 a measure's recurrence coefficients plus m free tail coefficients and a
 unimodular boundary parameter. The weights are Christoffel numbers,
-cross-checked by the second-kind formula. A validation layer (exactness,
-orthogonality, zero separation, interlacing, weight asymptotics) and a
-transfer to Gauss/Radau/Lobatto-type rules on [-1, 1] come with them.
+positive by construction. A validation layer (exactness, orthogonality,
+zero separation, interlacing, weight asymptotics) and a transfer to
+Gauss/Radau/Lobatto-type rules on [-1, 1] come with them.
 """
 
 from . import errors
@@ -40,7 +40,6 @@ from .opuc_core import (
     szego_constant,
     szego_eval,
     verblunsky_from_moments,
-    wronskian_residual,
 )
 from .rulegen import (
     ParaOrthogonalSpec,

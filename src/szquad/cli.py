@@ -278,13 +278,20 @@ _CONFIG_KEYS = {"measure", "n", "m", "tail", "eta", "format", "k-probe",
 
 
 def _apply_config(argv):
-    """Expand --config FILE into leading flags so explicit flags win."""
-    if "--config" not in argv:
+    """Expand --config FILE or --config=FILE into leading flags so explicit
+    flags win."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 >= len(argv):
+                raise SzquadError("--config needs a file path")
+            path, rest = argv[i + 1], argv[i + 2:]
+            break
+        if arg.startswith("--config="):
+            path, rest = arg[len("--config="):], argv[i + 1:]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise SzquadError("--config needs a file path")
-    with open(argv[i + 1]) as fh:
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise SzquadError("config file must hold a JSON object")
@@ -297,7 +304,7 @@ def _apply_config(argv):
             value = ";".join(str(v) for v in value) if isinstance(value, list) else value
         flags.append(f"--{name}={value}")
     # keep the subcommand first; config-derived flags precede explicit ones
-    return [argv[0], *flags, *argv[:i][1:], *argv[i + 2:]]
+    return [argv[0], *flags, *argv[1:i], *rest]
 
 
 def main(argv=None):

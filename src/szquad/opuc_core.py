@@ -277,21 +277,6 @@ def szego_constant(alphas):
     return float(2.0 * np.prod(1.0 - np.abs(a) ** 2))
 
 
-def wronskian_residual(alphas, z):
-    """|Phi_n Psi*_n + Psi_n Phi*_n - K_n z^n| at the point(s) z.
-
-    The combination is identically K_n z^n, so this measures rounding only.
-    """
-    a = as_verblunsky(alphas)
-    b = szego_eval(a, z)
-    s = szego_eval(-a, z)
-    kn = szego_constant(a)
-    zz = np.asarray(z, dtype=complex)
-    res = np.abs(np.asarray(b.phi) * s.phi_star + np.asarray(s.phi) * b.phi_star
-                 - kn * zz ** len(a))
-    return float(res) if res.ndim == 0 else res
-
-
 def _require_monic(p):
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     while len(p) > 1 and p[-1] == 0:

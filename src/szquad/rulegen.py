@@ -21,8 +21,8 @@ coefficients costs about N*(5 us + 17 ns*points), so once few nodes are
 left and Newton has to bisect one of them, each of them probes its whole
 bracket in the pass, PROBE_BUDGET points in all, and gains several bits
 per pass instead of one bisection step. The weights are the Christoffel
-numbers of the concatenated sequence at the nodes; the second-kind
-formula here cross-checks them.
+numbers of the concatenated sequence at the nodes, positive by
+construction.
 """
 
 from dataclasses import dataclass
@@ -145,15 +145,6 @@ class PhaseFunction:
         s = int(np.argmin(dtheta[:-1]))
         self.phis = np.concatenate([grid[s:-1], grid[:s + 1] + TWO_PI])
         self.thetas = np.concatenate([theta[s:-1], theta[:s + 1] + TWO_PI * self.n])
-
-    @property
-    def total_increase(self):
-        return float(self.thetas[-1] - self.thetas[0])
-
-    def __call__(self, phi):
-        """Lifted theta(phi) at any real phi."""
-        theta = prufer_phase(self.alphas, phi)[0]
-        return float(theta) if theta.ndim == 0 else theta
 
 
 def node_errors(spec, nodes):
@@ -365,7 +356,7 @@ class QuadratureRule:
         )
 
 
-def eta_for_node_at(base, tail, n, m, phi0):
+def eta_for_node_at(base, tail, phi0):
     """Boundary parameter forcing a node at phi0: eta = -B_{n-1}(e^{i phi0}),
     with B_{n-1} = z*Phi~_{n-1}/Phi~*_{n-1} from the Prufer kernel."""
     modified = np.concatenate([np.asarray(base, dtype=complex),
@@ -384,7 +375,7 @@ def generate_rule(measure, n, m, tail=(), eta=1.0, node_at=None):
         raise ArityError(f"need 0 <= m <= n-1, got n={n}, m={m}")
     base = measures.verblunsky_prefix(measure, n - m - 1)
     if node_at is not None:
-        eta = eta_for_node_at(base, np.asarray(tail, dtype=complex), n, m, node_at)
+        eta = eta_for_node_at(base, np.asarray(tail, dtype=complex), node_at)
     spec = ParaOrthogonalSpec(base, tail, eta, n, m)
     nodes = find_nodes(spec)
     weights = christoffel_weights(build_modified_sequence(spec), nodes)

@@ -26,23 +26,8 @@ from .errors import (
     UnsupportedVariantError,
     ZerosNotInDiskError,
 )
-from .opuc_core import (
-    inverse_szego,
-    moments_from_alphas,
-    prufer_phase,
-    reversed_poly,
-    szego_coeffs,
-    szego_constant,
-    szego_eval,
-)
-from .rulegen import (
-    QuadratureRule,
-    _check_eta,
-    build_qm,
-    find_nodes,
-    generate_rule,
-    qm_recurrence_coeffs,
-)
+from .opuc_core import inverse_szego, prufer_phase, szego_constant, szego_eval
+from .rulegen import QuadratureRule, _check_eta, generate_rule, qm_recurrence_coeffs
 
 P = np.polynomial.polynomial
 TWO_PI = 2.0 * np.pi
@@ -170,47 +155,18 @@ def _nodes_polys(nodes, weights=None):
     return t_poly, np.fft.fft(-t_vals * herglotz) * unrotate
 
 
-def _halves_from_spec(spec):
-    """Same two polynomials built without nodes, via the inner factor p:
-
-        2 z p = z q_m (Phi + Psi) + eta q_m* (Phi* - Psi*),
-        T = z p + eta p*,   N = eta p* - z p,
-
-    with Phi, Psi of order n-m-1 from the base coefficients.
-    """
-    q = build_qm(spec.tail, spec.eta)
-    qs = reversed_poly(q, spec.m)
-    phi, phi_star, psi, psi_star = szego_coeffs(np.asarray(spec.base, dtype=complex))
-    first = P.polymul(q, phi + psi)
-    diff = phi_star - psi_star            # constant term is exactly zero
-    second = P.polymul(qs, diff[1:]) if len(diff) > 1 else np.zeros(1, dtype=complex)
-    terms = [first, spec.eta * second]
-    size = max(len(t) for t in terms)
-    p = sum(np.pad(t, (0, size - len(t))) for t in terms) / 2.0
-    p = np.trim_zeros(p, "b")
-    ps = reversed_poly(p, spec.n - 1)
-    zp = np.concatenate(([0.0 + 0.0j], p))
-    t_poly = zp + np.pad(spec.eta * ps, (0, len(zp) - len(ps)))
-    n_poly = np.pad(spec.eta * ps, (0, len(zp) - len(ps))) - zp
-    return t_poly, n_poly
-
-
-def caratheodory_match(rule_or_spec, c):
+def caratheodory_match(rule, c):
     """Check the series condition of the inner-factor description:
 
     (eta p* - z p)/(eta p* + z p) must reproduce 1 + 2 sum c_k z^k through
-    order n-m-1, and p must have all zeros in the open unit disk.
+    order n-m-1, and p must have all zeros in the open unit disk. T = z p +
+    eta p* and N = eta p* - z p come from the rule's nodes and weights.
     """
-    obj = rule_or_spec
-    if isinstance(obj, QuadratureRule):
-        t_poly, n_poly = _nodes_polys(obj.nodes, obj.weights)
-    else:
-        t_poly, n_poly = _halves_from_spec(obj)
-    n, m = obj.n, obj.m
-    order = n - m - 1
+    order = rule.n - rule.m - 1
     c = np.asarray(c, dtype=complex)
     if len(c) < order + 1:
         raise ValueError(f"need moments to k={order}, have {len(c) - 1}")
+    t_poly, n_poly = _nodes_polys(rule.nodes, rule.weights)
     series = _series_ratio(n_poly, t_poly, order)
     target = 2.0 * c[: order + 1].copy()
     target[0] = 1.0
@@ -419,14 +375,10 @@ class OrthogonalityReport:
     max_violation: float
     n_checked: int              # number of basis functions tested
     class_degree: int           # l in the tested class
-    explicit_weight_violation: float = math.nan  # 1/|q* Phi*|^2 route (Lebesgue base only)
 
     def to_record(self):
-        rec = {"max_violation": float(self.max_violation),
-               "n_checked": int(self.n_checked)}
-        if not math.isnan(self.explicit_weight_violation):
-            rec["explicit_weight_violation"] = float(self.explicit_weight_violation)
-        return rec
+        return {"max_violation": float(self.max_violation),
+                "n_checked": int(self.n_checked)}
 
 
 def _class_integrals(nus, co, c, top, gamma2):
@@ -441,60 +393,30 @@ def _class_integrals(nus, co, c, top, gamma2):
     return np.abs(two_sided[r + len(c) - 1] @ co)
 
 
-def check_orthogonality(rule_or_spec, measure):
+def check_orthogonality(rule, c):
     """Verify that the trigonometric nodes polynomial is orthogonal to the
     class matching the rule's exactness: t in T_{l,gamma} with l = n//2 - 1 - m.
 
-    Every integral is a finite combination of moments. When called with a
-    ParaOrthogonalSpec over the Lebesgue measure, additionally checks the
-    maximal-orthogonality statement against the explicit weight
-    1/|q_m* Phi*_{n-1-m}|^2 (which is then 1/|q_m*|^2).
+    Every integral is a finite combination of the moments c_0..c_n of the
+    measure; longer c is cut to that length.
     """
-    spec = None
-    if isinstance(rule_or_spec, QuadratureRule):
-        rule = rule_or_spec
-        nodes, n, m = rule.nodes, rule.n, rule.m
-    else:
-        spec = rule_or_spec
-        nodes = find_nodes(spec)
-        n, m = spec.n, spec.m
+    n, m = rule.n, rule.m
+    c = np.asarray(c, dtype=complex)
+    if len(c) < n + 1:
+        raise ValueError(f"need moments to k={n}, have {len(c) - 1}")
+    c = c[: n + 1]
     n_half = n // 2
     gamma2 = n % 2
     l = n_half - 1 - m
     if l < 0:
         return OrthogonalityReport(max_violation=0.0, n_checked=0, class_degree=l)
 
-    c = measures.moments(measure, n)
-    nus_t, co_t = _trig_nodes_coeffs(nodes)
+    nus_t, co_t = _trig_nodes_coeffs(rule.nodes)
     totals = _class_integrals(nus_t, co_t, c, l, gamma2)
     # relative to the size of the integrand: T carries the factor 2^n
     worst = np.max(totals) / (np.sum(np.abs(co_t)) * np.max(np.abs(c)))
-
-    explicit = math.nan
-    if spec is not None and isinstance(measure, measures.Lebesgue):
-        explicit = _explicit_weight_orthogonality(spec)
     return OrthogonalityReport(max_violation=float(worst), n_checked=len(totals),
-                               class_degree=l, explicit_weight_violation=explicit)
-
-
-def _explicit_weight_orthogonality(spec):
-    """Maximal orthogonality of Re{eta^{1/2} z^{-n/2} q_m*(z)} against the
-    weight dphi / |q_m*(e^{i phi})|^2, checked through the class T_{n//2-1,gamma}.
-
-    Valid for a Lebesgue base, where Phi*_{n-1-m} = 1 and the weight is the
-    normalized measure generated by q_m's own recurrence coefficients.
-    """
-    n, m = spec.n, spec.m
-    beta = qm_recurrence_coeffs(spec.tail, spec.eta)
-    q = build_qm(spec.tail, spec.eta)
-    qs = reversed_poly(q, m)
-    # Re{eta^{1/2} e^{-in phi/2} q*} on the doubled frequency grid
-    hq = np.exp(0.5j * np.angle(spec.eta)) * qs / 2.0
-    nus = 2 * np.arange(len(qs)) - n
-    cq = moments_from_alphas(beta, n)  # normalized moments of the q-measure
-    totals = _class_integrals(np.concatenate([nus, -nus]), np.concatenate([hq, np.conj(hq)]),
-                              cq, n // 2 - 1, n % 2)
-    return float(np.max(totals, initial=0.0))
+                               class_degree=l)
 
 
 # --- interlacing against lower-level Szego nodes ----------------------------

@@ -1,11 +1,13 @@
-"""Weight formulas, the nodes polynomial in coefficient form and the
-S-function zeros by root extraction, kept as test oracles.
+"""Weight formulas, the nodes polynomial in coefficient form, the spec
+descriptions of a rule and the S-function zeros by root extraction, kept as
+test oracles.
 
-The library computes weights one way (Christoffel numbers) and never
-expands the nodes polynomial; the routes here stay independent of that:
-the split form through q_m, least squares on the moment conditions,
-coefficient-level recurrence algebra, and np.roots where the library
-counts signs.
+The library computes weights one way (Christoffel numbers) and checks a
+rule from its nodes, weights and moments; the routes here stay independent
+of that: the split form through q_m, least squares on the moment
+conditions, coefficient-level recurrence algebra, the inner factor and the
+explicit weight 1/|q_m*|^2 built from the spec without nodes, and np.roots
+where the library counts signs.
 """
 
 import warnings
@@ -14,11 +16,81 @@ import numpy as np
 
 from szquad import validation
 from szquad.errors import PositivityViolationError
-from szquad.opuc_core import szego_coeffs, szego_constant, szego_eval
-from szquad.rulegen import build_modified_sequence, qm_recurrence_coeffs
+from szquad.opuc_core import (
+    as_verblunsky,
+    moments_from_alphas,
+    reversed_poly,
+    szego_coeffs,
+    szego_constant,
+    szego_eval,
+)
+from szquad.rulegen import build_modified_sequence, build_qm, qm_recurrence_coeffs
 
 
+P = np.polynomial.polynomial
 TWO_PI = 2.0 * np.pi
+
+
+def wronskian_residual(alphas, z):
+    """|Phi_n Psi*_n + Psi_n Phi*_n - K_n z^n| at the point(s) z.
+
+    The combination is identically K_n z^n, so this measures rounding only.
+    """
+    a = as_verblunsky(alphas)
+    b = szego_eval(a, z)
+    s = szego_eval(-a, z)
+    kn = szego_constant(a)
+    zz = np.asarray(z, dtype=complex)
+    res = np.abs(np.asarray(b.phi) * s.phi_star + np.asarray(s.phi) * b.phi_star
+                 - kn * zz ** len(a))
+    return float(res) if res.ndim == 0 else res
+
+
+def halves_from_spec(spec):
+    """T = prod (z - z_s) and N = -T sum mu_s (z + z_s)/(z - z_s) of the rule,
+    built without nodes via the inner factor p:
+
+        2 z p = z q_m (Phi + Psi) + eta q_m* (Phi* - Psi*),
+        T = z p + eta p*,   N = eta p* - z p,
+
+    with Phi, Psi of order n-m-1 from the base coefficients.
+    """
+    q = build_qm(spec.tail, spec.eta)
+    qs = reversed_poly(q, spec.m)
+    phi, phi_star, psi, psi_star = szego_coeffs(np.asarray(spec.base, dtype=complex))
+    first = P.polymul(q, phi + psi)
+    diff = phi_star - psi_star            # constant term is exactly zero
+    second = P.polymul(qs, diff[1:]) if len(diff) > 1 else np.zeros(1, dtype=complex)
+    terms = [first, spec.eta * second]
+    size = max(len(t) for t in terms)
+    p = sum(np.pad(t, (0, size - len(t))) for t in terms) / 2.0
+    p = np.trim_zeros(p, "b")
+    ps = reversed_poly(p, spec.n - 1)
+    zp = np.concatenate(([0.0 + 0.0j], p))
+    t_poly = zp + np.pad(spec.eta * ps, (0, len(zp) - len(ps)))
+    n_poly = np.pad(spec.eta * ps, (0, len(zp) - len(ps))) - zp
+    return t_poly, n_poly
+
+
+def explicit_weight_orthogonality(spec):
+    """Maximal orthogonality of Re{eta^{1/2} z^{-n/2} q_m*(z)} against the
+    weight dphi / |q_m*(e^{i phi})|^2, checked through the class T_{n//2-1,gamma}.
+
+    Valid for a Lebesgue base, where Phi*_{n-1-m} = 1 and the weight is the
+    normalized measure generated by q_m's own recurrence coefficients.
+    """
+    n, m = spec.n, spec.m
+    beta = qm_recurrence_coeffs(spec.tail, spec.eta)
+    q = build_qm(spec.tail, spec.eta)
+    qs = reversed_poly(q, m)
+    # Re{eta^{1/2} e^{-in phi/2} q*} on the doubled frequency grid
+    hq = np.exp(0.5j * np.angle(spec.eta)) * qs / 2.0
+    nus = 2 * np.arange(len(qs)) - n
+    cq = moments_from_alphas(beta, n)  # normalized moments of the q-measure
+    totals = validation._class_integrals(np.concatenate([nus, -nus]),
+                                         np.concatenate([hq, np.conj(hq)]),
+                                         cq, n // 2 - 1, n % 2)
+    return float(np.max(totals, initial=0.0))
 
 
 class ConditioningWarning(UserWarning):

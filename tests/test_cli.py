@@ -272,6 +272,13 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     code, out2, _ = run_cli(["generate", "--config", str(cfg), "--n", "8"], capsys)
     assert code == 0
     assert json.loads(out2)["n"] == 8
+    # the one-token form reads the same file
+    code, out3, _ = run_cli(["generate", f"--config={cfg}"], capsys)
+    assert code == 0
+    assert json.loads(out3) == json.loads(out1)
+    code, out4, _ = run_cli(["generate", f"--config={cfg}", "--n", "8"], capsys)
+    assert code == 0
+    assert json.loads(out4) == json.loads(out2)
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

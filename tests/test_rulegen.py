@@ -141,9 +141,10 @@ def test_phase_total_increase(rng, measure, n):
     else:
         spec = spec_for_rule(measure, n, 0)
     pf = sq.PhaseFunction(spec)
-    assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-9)
+    assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     # the kernel's own winding over one turn from the seam
-    assert pf(pf.phis[0] + TWO_PI) - pf(pf.phis[0]) == pytest.approx(2 * np.pi * n, abs=1e-9)
+    ends = prufer_phase(pf.alphas, np.array([pf.phis[0], pf.phis[0] + TWO_PI]))[0]
+    assert ends[1] - ends[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     assert len(pf.phis) == 2 * n + 1
     assert np.all(np.diff(pf.thetas) > 0)
 
@@ -336,13 +337,14 @@ def test_phase_function_callable_monotone(rng):
     spec = ParaOrthogonalSpec([0.4, -0.2j], [0.5], np.exp(0.9j), 4, 1)
     pf = sq.PhaseFunction(spec)
     dense = np.linspace(0.0, 2 * np.pi, 2000)
-    theta = pf(dense)
+    theta = prufer_phase(pf.alphas, dense)[0]
     assert np.all(np.diff(theta) > -1e-12)
     assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * 4, abs=1e-8)
     # matches the table at its own breakpoints
-    assert np.allclose(pf(pf.phis), pf.thetas, atol=1e-9)
+    assert np.allclose(prufer_phase(pf.alphas, pf.phis)[0], pf.thetas, atol=1e-9)
     # scalar call
-    assert pf(1.0) == pytest.approx(pf(np.array([1.0]))[0])
+    assert prufer_phase(pf.alphas, 1.0)[0] == pytest.approx(
+        prufer_phase(pf.alphas, np.array([1.0]))[0][0])
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -354,7 +356,6 @@ def test_phase_function_monotone_localized(measure, n):
     assert np.all(np.diff(theta) > 0)
     assert np.all(dtheta > 0)
     assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
-    assert np.allclose(pf(dense), theta)
     # theta lifts the argument of B = z Phi / Phi*, and b is B itself
     ev = sq.szego_eval(pf.alphas, np.exp(1j * dense))
     quotient = np.exp(1j * dense) * ev.phi / ev.phi_star
@@ -392,7 +393,7 @@ def test_phase_table_matches_depth_first(measure, n):
     assert len(pf.phis) == 2 * n + 1
     assert np.array_equal(pf.phis, ref_phis)
     assert np.max(np.abs(pf.thetas - ref_thetas)) <= 1e-11
-    assert pf.total_increase == pytest.approx(2 * np.pi * n, abs=1e-9)
+    assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     # the seam sits at the flattest grid point, by theta' = K_{n-1} / |phi*_{n-1}|^2
     grid = np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1]
     phi_star2 = np.abs(sq.szego_eval(pf.alphas, np.exp(1j * grid)).phi_star) ** 2 \

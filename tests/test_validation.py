@@ -9,7 +9,7 @@ from szquad.errors import LogSingularityError, UnsupportedVariantError
 from szquad.rulegen import ParaOrthogonalSpec, spec_for_rule
 
 from conftest import random_rule_setup
-from oracles import s_zero_verdict
+from oracles import explicit_weight_orthogonality, halves_from_spec, s_zero_verdict
 
 
 # --- exactness ---------------------------------------------------------------
@@ -59,16 +59,20 @@ def test_caratheodory_lebesgue_golden():
 
 
 def test_caratheodory_spec_route_matches_rule_route(rng):
+    # T and N from the nodes and weights against the same two polynomials
+    # built from the spec through the inner factor, without nodes
     for _ in range(10):
         measure, n, m, tail, eta = random_rule_setup(rng, n_max=12)
         rule = sq.generate_rule(measure, n, m, tail, eta)
         spec = spec_for_rule(measure, n, m, tail, eta)
-        c = sq.moments(measure, n)
-        r1 = sq.caratheodory_match(rule, c)
-        r2 = sq.caratheodory_match(spec, c)
-        assert r1.max_error < 1e-9
-        assert r2.max_error < 1e-9
-        assert r1.schur_in_disk and r2.schur_in_disk
+        t_rule, n_rule = validation._nodes_polys(rule.nodes, rule.weights)
+        t_spec, n_spec = halves_from_spec(spec)
+        assert len(t_spec) == len(n_spec) == n + 1
+        assert np.max(np.abs(t_rule - t_spec)) <= 1e-9
+        assert np.max(np.abs(n_rule - n_spec)) <= 1e-9
+        rep = sq.caratheodory_match(rule, sq.moments(measure, n))
+        assert rep.max_error < 1e-9
+        assert rep.schur_in_disk
 
 
 def test_caratheodory_detects_perturbation(rng):
@@ -240,7 +244,7 @@ def test_s_function_record_fields():
 
 def test_orthogonality_lebesgue_szego_rule():
     rule = sq.generate_rule(sq.Lebesgue(), 4, 0)
-    rep = sq.check_orthogonality(rule, sq.Lebesgue())
+    rep = sq.check_orthogonality(rule, sq.moments(sq.Lebesgue(), 4))
     assert rep.max_violation < 1e-12
     assert rep.n_checked > 0
 
@@ -252,7 +256,7 @@ def test_orthogonality_szego_rules_random_bases(rng):
             * rng.uniform(0.1, 1.0, n - 1)
         measure = sq.ExplicitVerblunsky(base)
         rule = sq.generate_rule(measure, n, 0, (), np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        rep = sq.check_orthogonality(rule, measure)
+        rep = sq.check_orthogonality(rule, sq.moments(measure, n))
         assert rep.max_violation < 1e-10
 
 
@@ -260,17 +264,28 @@ def test_orthogonality_reduced_rules(rng):
     for _ in range(10):
         measure, n, m, tail, eta = random_rule_setup(rng, n_max=14)
         rule = sq.generate_rule(measure, n, m, tail, eta)
-        rep = sq.check_orthogonality(rule, measure)
+        rep = sq.check_orthogonality(rule, sq.moments(measure, n))
         if rep.n_checked:
             assert rep.max_violation < 1e-10
 
 
-def test_orthogonality_explicit_weight_lebesgue(rng):
+def test_orthogonality_explicit_weight_lebesgue():
     tail = [0.3, -0.2 + 0.1j]
-    spec = spec_for_rule(sq.Lebesgue(), 8, 2, tail, np.exp(0.4j))
-    rep = sq.check_orthogonality(spec, sq.Lebesgue())
+    rule = sq.generate_rule(sq.Lebesgue(), 8, 2, tail, np.exp(0.4j))
+    rep = sq.check_orthogonality(rule, sq.moments(sq.Lebesgue(), 8))
     assert rep.max_violation < 1e-12
-    assert rep.explicit_weight_violation < 1e-12
+    spec = spec_for_rule(sq.Lebesgue(), 8, 2, tail, np.exp(0.4j))
+    assert explicit_weight_orthogonality(spec) < 1e-12
+
+
+def test_orthogonality_moment_length():
+    # c_0..c_n are needed, and longer c is cut to them
+    measure = sq.BernsteinSzego(0.5)
+    rule = sq.generate_rule(measure, 8, 0, eta=np.exp(0.4j))
+    with pytest.raises(ValueError, match="k=8"):
+        sq.check_orthogonality(rule, sq.moments(measure, 7))
+    exact = sq.check_orthogonality(rule, sq.moments(measure, 8))
+    assert sq.check_orthogonality(rule, sq.moments(measure, 40)) == exact
 
 
 @pytest.mark.parametrize("n", [16, 512])
@@ -280,16 +295,17 @@ def test_orthogonality_moved_node_fails(measure, n):
     # relative to sum|co| max|c|: the absolute violation of a node moved by
     # 1e-6 read 1.5e-11 at n = 16 and 7e-161 at n = 512
     rule = sq.generate_rule(measure, n, 0, eta=np.exp(0.4j))
-    assert sq.check_orthogonality(rule, measure).max_violation < 1e-12
+    c = sq.moments(measure, n)
+    assert sq.check_orthogonality(rule, c).max_violation < 1e-12
     nodes = rule.nodes.copy()
     nodes[n // 2] += 1e-6
     moved = dataclasses.replace(rule, nodes=nodes)
-    assert sq.check_orthogonality(moved, measure).max_violation > 1e-8
+    assert sq.check_orthogonality(moved, c).max_violation > 1e-8
 
 
 def test_orthogonality_empty_class():
     rule = sq.generate_rule(sq.Lebesgue(), 3, 2, [0.1, 0.2], 1.0)
-    rep = sq.check_orthogonality(rule, sq.Lebesgue())
+    rep = sq.check_orthogonality(rule, sq.moments(sq.Lebesgue(), 3))
     assert rep.n_checked == 0
     assert rep.max_violation == 0.0
 
@@ -352,9 +368,10 @@ def test_interlacing_runs_no_node_finder(monkeypatch):
     def forbidden(spec):
         raise AssertionError("check_interlacing called find_nodes")
 
+    # no check re-runs generation: validation does not hold the node finder
+    assert not hasattr(validation, "find_nodes")
     measure = sq.BernsteinSzego(0.5)
     rule = sq.generate_rule(measure, 32, 0, eta=np.exp(0.4j))
-    monkeypatch.setattr(validation, "find_nodes", forbidden)
     monkeypatch.setattr(rulegen, "find_nodes", forbidden)
     assert sq.check_interlacing(rule, measure, 3, np.exp(0.7j)).violations == 0
 
