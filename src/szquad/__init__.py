@@ -32,7 +32,6 @@ from .measures import (
 )
 from .opuc_core import (
     EvalBundle,
-    christoffel_weights,
     inverse_szego,
     moments_from_alphas,
     reversed_poly,

@@ -277,19 +277,21 @@ _CONFIG_KEYS = {"measure", "n", "m", "tail", "eta", "format", "k-probe",
                 "n-list", "rule", "output", "tol"}
 
 
+@functools.cache
+def _config_parser():
+    """Reads --config as the subcommand parsers do, abbreviations included:
+    no other option of theirs starts with --c. A missing path reads as None
+    and is left to the subcommand parser to report."""
+    parser = argparse.ArgumentParser(prog="szq", add_help=False)
+    parser.add_argument("--config", nargs="?", default=None)
+    return parser
+
+
 def _apply_config(argv):
-    """Expand --config FILE or --config=FILE into leading flags so explicit
-    flags win."""
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise SzquadError("--config needs a file path")
-            path, rest = argv[i + 1], argv[i + 2:]
-            break
-        if arg.startswith("--config="):
-            path, rest = arg[len("--config="):], argv[i + 1:]
-            break
-    else:
+    """Put the flags of the --config file first after the subcommand, so
+    explicit flags win."""
+    path = _config_parser().parse_known_args(argv)[0].config
+    if path is None:
         return argv
     with open(path) as fh:
         cfg = json.load(fh)
@@ -303,8 +305,7 @@ def _apply_config(argv):
         if name == "tail":
             value = ";".join(str(v) for v in value) if isinstance(value, list) else value
         flags.append(f"--{name}={value}")
-    # keep the subcommand first; config-derived flags precede explicit ones
-    return [argv[0], *flags, *argv[1:i], *rest]
+    return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv=None):

@@ -19,6 +19,7 @@ Point evaluation always runs the recurrence directly (stable near |z| = 1);
 the coefficient vectors exist for round-trip tests and series work.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -134,13 +135,19 @@ def _circle_power(phi):
     return lambda r: np.exp(1j * (r * hi)) * np.exp(1j * (r * lo))
 
 
-# complex values per Schur-map block in `prufer_phase`: the block spans
-# max(1, min(_BLOCK_POINTS // points, nonzero coefficients)) coefficients
+# complex values per Schur-map block in `prufer_phase`: the block spans at
+# most max(1, min(_BLOCK_POINTS // points, nonzero coefficients)) coefficients
 _BLOCK_POINTS = 8192
+
+# binary orders of magnitude one block's product of ratios r_k may span:
+# r_k lies within a factor (1 + |a_k|)/(1 - |a_k|) of 1, so a block of
+# _EXP_SPAN // log2 of that factor rows cannot overflow or go subnormal
+_EXP_SPAN = 960
 
 
 def prufer_phase(alphas, phi):
-    """Lifted Prufer phase of B_N = z*Phi_N/Phi*_N at z = e^{i phi}, N = len(alphas).
+    """Lifted Prufer phase of B_N = z*Phi_N/Phi*_N at z = e^{i phi}, N = len(alphas),
+    with its phi-derivative and the Christoffel numbers there.
 
     On |z| = 1 the Blaschke factor B_k is unimodular and follows the Schur map
 
@@ -152,12 +159,21 @@ def prufer_phase(alphas, phi):
 
     a sum of principal arguments (each factor has positive real part), with
     theta(phi + 2pi) = theta(phi) + 2pi(N+1) exactly. The phi-derivative
-    S_k follows S_0 = 1, S_{k+1} = S_k (1 - |a_k|^2)/|1 - conj(a_k) B_k|^2 + 1
-    without overflow (Simon, OPUC, 2005: Pruefer variables). At a_k = 0 the
-    step is B <- zB, S <- S + 1 with no arg term, so a run of r zero
-    coefficients costs one step: B <- e^{i r phi} B, S <- S + r. A pass
-    costs O(nonzero coefficients + zero runs) vector operations. Returns
-    (theta, S, B_N) with the shape of phi.
+    S_k follows S_0 = 1, S_{k+1} = S_k r_k + 1 with the ratios
+    r_k = (1 - |a_k|^2)/|1 - conj(a_k) B_k|^2, without overflow (Simon,
+    OPUC, 2005: Pruefer variables). The orthonormal polynomials have
+    |phi*_{k+1}|^2 = |phi*_k|^2 / r_k on the circle, and S_N = K_N/|phi*_N|^2
+    for the Christoffel sum K_N = sum_{k<=N} |phi_k|^2, so the Christoffel
+    number is mu = 1/K_N = prod_k r_k / S_N (Jones, Njastad & Thron, Bull.
+    LMS 21, 1989): a product of positive factors, positive by construction.
+    At the zeros of a para-orthogonal polynomial built from `alphas` these
+    are the weights of its Szego rule. The product is carried as a mantissa
+    and a power of two, rescaled once per block.
+
+    At a_k = 0 the step is B <- zB, S <- S + 1, r_k = 1 with no arg term,
+    so a run of r zero coefficients costs one step: B <- e^{i r phi} B,
+    S <- S + r. A pass costs O(nonzero coefficients + zero runs) vector
+    operations. Returns (theta, S, B_N, mu) with the shape of phi.
     """
     a = as_verblunsky(alphas)
     phi = np.asarray(phi, dtype=float)
@@ -170,15 +186,20 @@ def prufer_phase(alphas, phi):
     z = np.exp(1j * x)
     b = z.copy()
     dtheta = np.ones(x.shape)
+    # Python's abs: numpy's complex absolute rounds some moduli differently
+    moduli = [abs(ak) for ak in coefs]
+    gains = np.array([1.0 - m ** 2 for m in moduli])
     # the factors w_k of up to `rows` coefficients at a time, so that one
-    # arctan2 and one ratio pass serve the whole block; row 0 of `args`
-    # carries the running sum of the arguments into the next block
-    rows = max(1, min(_BLOCK_POINTS // max(x.size, 1), len(coefs)))
+    # arctan2, one ratio pass and one product serve the whole block; row 0
+    # of `args` carries the running sum of the arguments into the next block
+    top = max(moduli, default=0.0)
+    span = max(1.0, math.log2((1.0 + top) / (1.0 - top)))
+    rows = max(1, min(_BLOCK_POINTS // max(x.size, 1), len(coefs), int(_EXP_SPAN // span)))
     w = np.empty((rows, x.size), dtype=complex)
     w_rows = list(w)
     args = np.zeros((rows + 1, x.size))
-    # Python's abs: numpy's complex absolute rounds some moduli differently
-    gains = np.array([1.0 - abs(ak) ** 2 for ak in coefs])
+    # prod_k r_k = mant * 2^expo
+    mant, expo = 1.0, 0
     for start in range(0, len(coefs), rows):
         stop = min(start + rows, len(coefs))
         block_runs = runs[start:stop]
@@ -199,50 +220,19 @@ def prufer_phase(alphas, phi):
                 np.add(dtheta, run, dtheta)
             np.multiply(dtheta, ratio, dtheta)
             np.add(dtheta, 1.0, dtheta)
+        product = np.multiply.reduce(ratios, axis=0)
+        if start:
+            # the earlier blocks' product, rescaled to [0.5, 1)
+            mant, shift = np.frexp(mant)
+            expo = expo + shift
+            product *= mant
+        mant = product
     if trailing:
         np.multiply(b, power(trailing), b)
         np.add(dtheta, trailing, dtheta)
     theta = (len(a) + 1) * x - 2.0 * args[0]
-    return tuple(v[:size].reshape(phi.shape)[()] for v in (theta, dtheta, b))
-
-
-def christoffel_weights(alphas, phi):
-    """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas),
-    at the points z_s = e^{i phi_s} given by their angles `phi`.
-
-    phi_k = Phi_k / prod_{j<k} (1 - |a_j|^2)^(1/2) are the orthonormal
-    polynomials. At the N+1 zeros of a para-orthogonal polynomial built from
-    `alphas` these are the weights of its Szego rule (Jones, Njastad &
-    Thron, Bull. LMS 21, 1989): a sum of positive terms, so positive by
-    construction.
-
-    The points lie on the unit circle, where a_k = 0 gives phi_{k+1} =
-    z phi_k with |phi_{k+1}| = |phi_k|. A run of r zero coefficients
-    therefore costs one step: phi_k <- e^{i r phi} phi_k, and the sum grows
-    by r |phi_k|^2. Taking angles rather than points z lets the angle
-    itself, not a rounded arg z, set the phase of e^{i r phi}.
-    """
-    a = as_verblunsky(alphas)
-    if np.iscomplexobj(phi):
-        raise TypeError("christoffel_weights takes the angles phi of the points z = e^{i phi}")
-    phi = np.asarray(phi, dtype=float)
-    coefs, runs, trailing = _zero_runs(a)
-    power = _circle_power(phi)
-    z = np.exp(1j * phi)
-    orth = np.ones_like(z)
-    orth_star = np.ones_like(z)
-    total = np.ones(z.shape)
-    for ak, run in zip(coefs, runs):
-        if run:
-            total += run * np.abs(orth) ** 2
-            orth = orth * power(run)
-        orth, orth_star = _szego_step(z * orth, orth_star, ak)
-        norm = np.sqrt(1.0 - abs(ak) ** 2)
-        orth, orth_star = orth / norm, orth_star / norm
-        total += np.abs(orth) ** 2
-    if trailing:
-        total += trailing * np.abs(orth) ** 2
-    return 1.0 / total
+    mu = np.ldexp(mant / dtheta, expo)
+    return tuple(v[:size].reshape(phi.shape)[()] for v in (theta, dtheta, b, mu))
 
 
 def _shift(p):

@@ -17,12 +17,12 @@ for the lifted Prufer phase theta, strictly increasing with total increase
 Newton: one pass of the Schur map over a 2n+1 grid brackets every node,
 and Newton steps on theta, bisecting when a step leaves its bracket,
 converge the nodes still active, all of them in one pass. A pass over N
-coefficients costs about N*(5 us + 17 ns*points), so once few nodes are
-left and Newton has to bisect one of them, each of them probes its whole
-bracket in the pass, PROBE_BUDGET points in all, and gains several bits
-per pass instead of one bisection step. The weights are the Christoffel
-numbers of the concatenated sequence at the nodes, positive by
-construction.
+coefficients costs about N*(4.3 us + 17 ns*points), so a node that Newton
+had to bisect probes its whole bracket in the next pass, within a budget
+of PROBE_BUDGET points per pass, and gains several bits per pass instead
+of one bisection step. The weights are the Christoffel numbers of the
+concatenated sequence at the nodes, prod_k r_k / theta' from the same
+pass of the Schur map that checks the nodes, positive by construction.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .opuc_core import (
     as_verblunsky,
-    christoffel_weights,
     prufer_phase,
     szego_coeffs,
     szego_eval,
@@ -141,27 +140,33 @@ class PhaseFunction:
         self.n = spec.n
         self.alphas = build_modified_sequence(spec)
         grid = np.linspace(0.0, TWO_PI, 2 * self.n + 1)
-        theta, dtheta, _ = prufer_phase(self.alphas, grid)
+        theta, dtheta, _, _ = prufer_phase(self.alphas, grid)
         s = int(np.argmin(dtheta[:-1]))
         self.phis = np.concatenate([grid[s:-1], grid[:s + 1] + TWO_PI])
         self.thetas = np.concatenate([theta[s:-1], theta[:s + 1] + TWO_PI * self.n])
 
 
 def node_errors(spec, nodes):
-    """Estimated angular error of each node and theta' there, from one pass.
+    """Estimated angular error of each node, theta' there and the Christoffel
+    numbers there, from one pass.
 
     The error is |arg(-B eta^{-1})| / theta', the Newton distance from the
     node to the zero of the wrapped residual.
     """
-    _, dtheta, b = prufer_phase(build_modified_sequence(spec), nodes)
-    return np.abs(np.angle(-b * np.conj(spec.eta))) / dtheta, dtheta
+    _, dtheta, b, mu = prufer_phase(build_modified_sequence(spec), nodes)
+    return np.abs(np.angle(-b * np.conj(spec.eta))) / dtheta, dtheta, mu
 
 
 # a node is accepted within this angle of its zero, by the Newton estimate
 NODE_TOL = 1e-12
 
-# points per find_nodes pass once at most a quarter as many nodes are active
-PROBE_BUDGET = 64
+# points per find_nodes pass while some node probes its bracket: a pass over
+# N coefficients costs about N*(4.3 us + 17 ns*points), so 256 points cost
+# less than twice one point
+PROBE_BUDGET = 256
+
+# most points one node probes its bracket with in a pass
+PROBE_POINTS = 64
 
 
 def _narrow(lo, hi):
@@ -169,7 +174,7 @@ def _narrow(lo, hi):
     return hi - lo <= 4 * np.spacing(hi)
 
 
-def find_nodes(spec):
+def find_nodes(spec, weights=False):
     """Locate the n zeros of the nodes polynomial on the unit circle.
 
     Prufer phase plus safeguarded Newton: the 2n+1 grid of `PhaseFunction`
@@ -180,17 +185,21 @@ def find_nodes(spec):
     no rounding from the lifted n*phi.
 
     Each pass evaluates all active nodes in one `prufer_phase` call, and a
-    call over N coefficients costs about N*(5 us + 17 ns*points): the fixed
-    part dominates up to some 64 points, so a pass on one stiff node costs
-    about as much as a pass on 64. So when 4*a <= PROBE_BUDGET for a active
-    nodes, and the last pass bisected one of them (or this is the first
-    pass), each node sends its iterate and PROBE_BUDGET // a - 1 evenly
-    spaced interior points of its bracket into the call. The new bracket is
-    the tightest sign change among them, and the next iterate the Newton
-    step from the engaged probe with the smallest |f/theta'| if it lands
-    inside, else the midpoint: at least log2(PROBE_BUDGET // a) >= 2 bits
-    per pass. Otherwise a pass carries one point per node: where Newton
-    converges on every node, probes would buy nothing for their cost.
+    call over N coefficients costs about N*(4.3 us + 17 ns*points): the
+    fixed part dominates up to some 256 points, so a pass on a few stiff
+    nodes costs nearly as much as one on all of them. So each of the b
+    nodes that the last pass bisected sends its iterate and k - 1 evenly
+    spaced interior points of its bracket into the next call, with
+    k = min(PROBE_POINTS, (PROBE_BUDGET - other active nodes) // b), if
+    k >= 2. Its new bracket is the tightest sign change among them, and its
+    next iterate the Newton step from the engaged probe with the smallest
+    |f/theta'| if it lands inside, else the midpoint: at least log2(k) bits
+    per pass. The other nodes carry one point: where Newton converges,
+    probes would buy nothing for their cost.
+
+    A last pass checks every node and gives the Christoffel numbers there.
+    Returns the sorted node angles, or with weights=True the pair (nodes,
+    weights) in that order.
     """
     n = spec.n
     eta = spec.eta
@@ -210,36 +219,45 @@ def find_nodes(spec):
     targets[past] -= TWO_PI * n
 
     active = np.arange(n)
-    # probe while few nodes are left and Newton is not yet seen to work on all
-    probing = 4 * n <= PROBE_BUDGET
+    # per active node: the last pass bisected it. A rule of at most 16 nodes
+    # probes from the first pass: its grid cells are wide enough to hold two
+    # nodes, which Newton from the interpolated start can send to one root
+    bisected = np.full(n, 4 * n <= PROBE_POINTS)
     # bisection alone takes about 55 passes from width pi/n down to 4 ulps
     for _ in range(200):
         if active.size == 0:
             break
-        k = PROBE_BUDGET // active.size if probing else 1
         p, t, lo_a, hi_a = phi[active], targets[active], lo[active], hi[active]
-        if k > 1:
-            # column 0 holds the iterate, the others split the bracket in k
-            probes = lo_a[:, None] + (hi_a - lo_a)[:, None] * (np.arange(k) / k)
-            probes[:, 0] = p
-            p, t = probes, t[:, None]
-        theta, dtheta, b = prufer_phase(pf.alphas, p)
-        lifted = theta - t
+        count = np.count_nonzero(bisected)
+        k = min(PROBE_POINTS, (PROBE_BUDGET - active.size + count) // count) if count else 1
+        probe = np.flatnonzero(bisected) if k > 1 else None
+        points, t_points = p, t
+        if probe is not None:
+            # the k - 1 interior points of each probed bracket follow the iterates
+            interior = lo_a[probe, None] + (hi_a - lo_a)[probe, None] * (np.arange(1, k) / k)
+            points = np.concatenate([p, interior.ravel()])
+            t_points = np.concatenate([t, np.repeat(t[probe], k - 1)])
+        theta, dtheta, b, _ = prufer_phase(pf.alphas, points)
+        lifted = theta - t_points
         engaged = np.abs(lifted) < 0.5 * np.pi
         f = np.where(engaged, np.angle(-b * np.conj(eta)), lifted)
         step = f / dtheta
-        if k > 1:
+        left = np.where(f[:p.size] < 0, p, lo_a)
+        right = np.where(f[:p.size] > 0, p, hi_a)
+        if probe is not None:
+            # one row per probed node, the iterate in column 0
+            pr, fr, sr, er = (np.column_stack([v[probe], v[p.size:].reshape(probe.size, k - 1)])
+                              for v in (points, f, step, engaged))
             # the first probe above the root, the last below that one (rounding
             # can make f non-monotone), and the probe with the shortest
             # engaged Newton step (the iterate if none is engaged)
-            right = np.where(f > 0, p, hi_a[:, None]).min(axis=1)
-            left = np.where((f < 0) & (p < right[:, None]), p, lo_a[:, None]).max(axis=1)
-            best = np.where(engaged, np.abs(step), np.inf).argmin(axis=1)
-            best += k * np.arange(active.size)
-            p, step, engaged = p.flat[best], step.flat[best], engaged.flat[best]
-        else:
-            left = np.where(f < 0, p, lo_a)
-            right = np.where(f > 0, p, hi_a)
+            right[probe] = np.where(fr > 0, pr, hi_a[probe, None]).min(axis=1)
+            left[probe] = np.where((fr < 0) & (pr < right[probe, None]), pr,
+                                   lo_a[probe, None]).max(axis=1)
+            best = np.where(er, np.abs(sr), np.inf).argmin(axis=1)
+            pick = (np.arange(probe.size), best)
+            p[probe], step[probe], engaged[probe] = pr[pick], sr[pick], er[pick]
+        step, engaged = step[:p.size], engaged[:p.size]
         newton = p - step
         settled = engaged & (np.abs(step) <= 64 * np.finfo(float).eps * np.maximum(1.0, p))
         inside = (newton > left) & (newton < right)
@@ -248,10 +266,10 @@ def find_nodes(spec):
         lo[active], hi[active] = left, right
         keep = ~(settled | _narrow(left, right))
         active = active[keep]
-        probing = 4 * active.size <= PROBE_BUDGET and not np.all(inside[keep])
+        bisected = ~inside[keep]
 
     # a bracket holds a sign change of the residual by construction
-    err, dtheta = node_errors(spec, phi)
+    err, dtheta, mu = node_errors(spec, phi)
     bad = np.flatnonzero((err > NODE_TOL) & ~_narrow(lo, hi))
     if bad.size:
         j = int(bad[np.argmax(err[bad])])
@@ -262,11 +280,12 @@ def find_nodes(spec):
 
     nodes = np.mod(phi, TWO_PI)
     nodes[nodes >= TWO_PI] = 0.0   # mod of a tiny negative can round up to 2*pi
-    nodes = np.sort(nodes)
+    order = np.argsort(nodes)
+    nodes = nodes[order]
     gaps = np.diff(np.concatenate([nodes, [nodes[0] + TWO_PI]]))
     if np.min(gaps) <= NODE_GAP:
         raise NodeCountError(f"expected {n} distinct nodes, got gaps down to {np.min(gaps):.3e}")
-    return nodes
+    return (nodes, mu[order]) if weights else nodes
 
 
 def _real_positive(mu, what):
@@ -377,8 +396,7 @@ def generate_rule(measure, n, m, tail=(), eta=1.0, node_at=None):
     if node_at is not None:
         eta = eta_for_node_at(base, np.asarray(tail, dtype=complex), node_at)
     spec = ParaOrthogonalSpec(base, tail, eta, n, m)
-    nodes = find_nodes(spec)
-    weights = christoffel_weights(build_modified_sequence(spec), nodes)
+    nodes, weights = find_nodes(spec, weights=True)
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-12:
         raise PositivityViolationError(f"weights sum to {total:.17g}")

@@ -2,21 +2,27 @@
 descriptions of a rule and the S-function zeros by root extraction, kept as
 test oracles.
 
-The library computes weights one way (Christoffel numbers) and checks a
-rule from its nodes, weights and moments; the routes here stay independent
-of that: the split form through q_m, least squares on the moment
-conditions, coefficient-level recurrence algebra, the inner factor and the
-explicit weight 1/|q_m*|^2 built from the spec without nodes, and np.roots
-where the library counts signs.
+The library computes weights one way (Christoffel numbers as a product of
+the Schur-map ratios over theta') and checks a rule from its nodes,
+weights and moments; the routes here stay independent of that: the
+Christoffel sum of the orthonormal recurrence, in double and in mpmath,
+the split form through q_m, least squares on the moment conditions,
+coefficient-level recurrence algebra, the inner factor and the explicit
+weight 1/|q_m*|^2 built from the spec without nodes, and np.roots where
+the library counts signs.
 """
 
 import warnings
 
+import mpmath
 import numpy as np
 
 from szquad import validation
 from szquad.errors import PositivityViolationError
 from szquad.opuc_core import (
+    _circle_power,
+    _szego_step,
+    _zero_runs,
     as_verblunsky,
     moments_from_alphas,
     reversed_poly,
@@ -44,6 +50,89 @@ def wronskian_residual(alphas, z):
     res = np.abs(np.asarray(b.phi) * s.phi_star + np.asarray(s.phi) * b.phi_star
                  - kn * zz ** len(a))
     return float(res) if res.ndim == 0 else res
+
+
+def christoffel_weights(alphas, phi):
+    """Christoffel numbers mu_s = 1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas),
+    at the points z_s = e^{i phi_s} given by their angles `phi`.
+
+    phi_k = Phi_k / prod_{j<k} (1 - |a_j|^2)^(1/2) are the orthonormal
+    polynomials. At the N+1 zeros of a para-orthogonal polynomial built from
+    `alphas` these are the weights of its Szego rule (Jones, Njastad &
+    Thron, Bull. LMS 21, 1989): a sum of positive terms, so positive by
+    construction.
+
+    The points lie on the unit circle, where a_k = 0 gives phi_{k+1} =
+    z phi_k with |phi_{k+1}| = |phi_k|. A run of r zero coefficients
+    therefore costs one step: phi_k <- e^{i r phi} phi_k, and the sum grows
+    by r |phi_k|^2. Taking angles rather than points z lets the angle
+    itself, not a rounded arg z, set the phase of e^{i r phi}.
+    """
+    a = as_verblunsky(alphas)
+    if np.iscomplexobj(phi):
+        raise TypeError("christoffel_weights takes the angles phi of the points z = e^{i phi}")
+    phi = np.asarray(phi, dtype=float)
+    coefs, runs, trailing = _zero_runs(a)
+    power = _circle_power(phi)
+    z = np.exp(1j * phi)
+    orth = np.ones_like(z)
+    orth_star = np.ones_like(z)
+    total = np.ones(z.shape)
+    for ak, run in zip(coefs, runs):
+        if run:
+            total += run * np.abs(orth) ** 2
+            orth = orth * power(run)
+        orth, orth_star = _szego_step(z * orth, orth_star, ak)
+        norm = np.sqrt(1.0 - abs(ak) ** 2)
+        orth, orth_star = orth / norm, orth_star / norm
+        total += np.abs(orth) ** 2
+    if trailing:
+        total += trailing * np.abs(orth) ** 2
+    return 1.0 / total
+
+
+def mp_christoffel(alphas, phi, dps=40, slope=False):
+    """1 / sum_{k<=N} |phi_k(z_s)|^2, N = len(alphas), by the orthonormal
+    recurrence in mpmath at z_s = e^{i phi_s}, the float angles taken exactly.
+
+    A run of r zero coefficients multiplies phi_k by z^r and adds
+    r |phi_k|^2 to the sum, as on the circle it must. With slope=True also
+    returns d log(mu)/d phi at each point, from the recurrence differentiated
+    with dz/dphi = iz: the relative error that rounding the angle by one
+    unit of eps alone puts on mu, divided by eps.
+    """
+    with mpmath.workdps(dps):
+        alphas = [mpmath.mpc(complex(a)) for a in alphas]
+        mus, slopes = [], []
+        for p in np.atleast_1d(phi):
+            z = mpmath.expj(mpmath.mpf(float(p)))
+            orth = orth_star = mpmath.mpc(1)
+            d_orth = d_orth_star = mpmath.mpc(0)
+            total, d_total = mpmath.mpf(1), mpmath.mpf(0)
+            run = 0
+            for a in alphas + [None]:
+                if a == 0:
+                    run += 1
+                    continue
+                if run:
+                    # |z^r phi_k| = |phi_k|, and so for its phi-derivative
+                    total += run * abs(orth) ** 2
+                    d_total += 2 * run * mpmath.re(mpmath.conj(orth) * d_orth)
+                    zr = z ** run
+                    orth, d_orth = zr * orth, zr * (1j * run * orth + d_orth)
+                    run = 0
+                if a is None:
+                    break
+                norm = mpmath.sqrt(1 - abs(a) ** 2)
+                zo, d_zo = z * orth, z * (1j * orth + d_orth)
+                orth, orth_star, d_orth, d_orth_star = (
+                    (zo - a * orth_star) / norm, (orth_star - mpmath.conj(a) * zo) / norm,
+                    (d_zo - a * d_orth_star) / norm, (d_orth_star - mpmath.conj(a) * d_zo) / norm)
+                total += abs(orth) ** 2
+                d_total += 2 * mpmath.re(mpmath.conj(orth) * d_orth)
+            mus.append(float(1 / total))
+            slopes.append(float(-d_total / total))
+        return (np.array(mus), np.array(slopes)) if slope else np.array(mus)
 
 
 def halves_from_spec(spec):

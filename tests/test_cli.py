@@ -279,6 +279,13 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     code, out4, _ = run_cli(["generate", f"--config={cfg}", "--n", "8"], capsys)
     assert code == 0
     assert json.loads(out4) == json.loads(out2)
+    # argparse accepts an unambiguous abbreviation, and so does the config
+    code, out5, _ = run_cli(["generate", "--conf", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out5) == json.loads(out1)
+    code, out6, _ = run_cli(["generate", f"--conf={cfg}", "--n", "8"], capsys)
+    assert code == 0
+    assert json.loads(out6) == json.loads(out2)
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -12,10 +12,10 @@ from szquad.errors import (
     ZerosNotInDiskError,
 )
 from szquad.opuc_core import prufer_phase
-from szquad.rulegen import ParaOrthogonalSpec
+from szquad.rulegen import ParaOrthogonalSpec, spec_for_rule
 
 from conftest import atom_moments, grid_moments, random_disk_points
-from oracles import wronskian_residual
+from oracles import christoffel_weights, mp_christoffel, wronskian_residual
 
 P = np.polynomial.polynomial
 
@@ -356,8 +356,8 @@ def _christoffel_reference(alphas, z):
 
 
 def _assert_kernels_match_reference(alphas, phi):
-    theta, dtheta, b = prufer_phase(alphas, phi)
-    mu = sq.christoffel_weights(alphas, phi)
+    theta, dtheta, b, _ = prufer_phase(alphas, phi)
+    mu = christoffel_weights(alphas, phi)
     ref_theta, ref_dtheta, ref_b = _schur_reference(alphas, phi)
     ref_mu = _christoffel_reference(alphas, np.exp(1j * phi))
     if np.all(alphas != 0):
@@ -372,6 +372,17 @@ def _assert_kernels_match_reference(alphas, phi):
     assert np.all(np.abs(dtheta / ref_dtheta - 1) <= tol)
     assert np.all(np.abs(b - ref_b) <= tol)
     assert np.all(np.abs(mu / ref_mu - 1) <= tol)
+
+
+def _assert_weights_match_mpmath(alphas, phi):
+    """The kernel's mu = prod r_k / theta' against the 40-digit Christoffel
+    sum, within 16 N eps plus eps |d log mu/d phi|, the error that rounding
+    the point alone makes (|d log mu/d phi| reaches 9e3 on random |a| = 0.7,
+    N = 127 sequences)."""
+    mu = prufer_phase(alphas, phi)[3]
+    ref, slope = mp_christoffel(alphas, phi, slope=True)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(mu / ref - 1) <= eps * (16 * max(len(alphas), 1) + np.abs(slope)))
 
 
 _zero_run = st.integers(1, 80).map(lambda r: [0j] * r)
@@ -409,6 +420,25 @@ def test_zero_run_kernels_match_plain_steps(alphas):
         _assert_kernels_match_reference(alphas, phi)
     nodes = sq.find_nodes(ParaOrthogonalSpec(alphas, (), np.exp(0.3j), n, 0))
     _assert_kernels_match_reference(alphas, nodes)
+    _assert_weights_match_mpmath(alphas, np.concatenate([[0.4, 5.1], nodes[::max(1, n // 8)]]))
+
+
+@pytest.mark.parametrize("measure, n", [(sq.Geronimus(0.4j), 128), (sq.Geronimus(-0.6), 64),
+                                        (sq.Geronimus(-0.6), 128)])
+def test_kernel_weights_at_rule_nodes(measure, n):
+    # the mass point of Geronimus(0.4i) carries mu = 0.276 at n = 128
+    spec = spec_for_rule(measure, n, 0)
+    _assert_weights_match_mpmath(spec.base, sq.find_nodes(spec))
+
+
+@pytest.mark.parametrize("size", [63, 127])
+def test_kernel_weights_random_dense(size):
+    # localized at this modulus: on the grid, not at the rule nodes, where the
+    # forward recurrence itself loses the decaying solution
+    rng = np.random.default_rng(size)
+    for _ in range(2):
+        alphas = 0.7 * np.exp(2j * np.pi * rng.random(size))
+        _assert_weights_match_mpmath(alphas, np.linspace(0.0, 2 * np.pi, 67))
 
 
 def test_zero_run_phase_within_ulps():
@@ -417,7 +447,7 @@ def test_zero_run_phase_within_ulps():
     # by about 2000 eps at N = 1023, and N plain steps by about 340 eps
     phi = np.linspace(0.0, 2 * np.pi, 257)
     for count in (200, 1023):
-        _, _, b = prufer_phase(np.zeros(count), phi)
+        b = prufer_phase(np.zeros(count), phi)[2]
         with mpmath.workdps(30):
             exact = np.array([complex(mpmath.expj((count + 1) * mpmath.mpf(float(p))))
                               for p in phi])
@@ -437,8 +467,8 @@ def test_prufer_phase_scalar_is_one_point():
 def test_christoffel_weights_take_angles():
     alphas = np.array([0.5, 0.0, 0.0, -0.2j, 0.0])
     phi = np.array([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2.0])
-    assert np.allclose(sq.christoffel_weights(alphas, phi),
+    assert np.allclose(christoffel_weights(alphas, phi),
                        _christoffel_reference(alphas, np.exp(1j * phi)), rtol=1e-14, atol=0)
     # complex points z are refused, not read as angles
     with pytest.raises(TypeError, match="angles phi"):
-        sq.christoffel_weights(alphas, np.exp(1j * phi))
+        christoffel_weights(alphas, np.exp(1j * phi))

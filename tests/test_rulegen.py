@@ -25,6 +25,8 @@ from szquad.rulegen import (
 from conftest import companion_nodes, random_rule_setup
 from oracles import (
     ConditioningWarning,
+    christoffel_weights,
+    mp_christoffel,
     nodes_polynomial,
     weights_qm_formula,
     weights_vandermonde_oracle,
@@ -199,7 +201,7 @@ def test_triple_weight_agreement(rng):
         w_split = weights_qm_formula(spec, nodes)
         c_mod = moments_from_alphas(build_modified_sequence(spec), max(n - 1, 0))
         w_lsq = weights_vandermonde_oracle(nodes, c_mod, n - 1)
-        w_chr = sq.christoffel_weights(build_modified_sequence(spec), nodes)
+        w_chr = christoffel_weights(build_modified_sequence(spec), nodes)
         worst = max(worst,
                     np.max(np.abs(w_second - w_split) / w_second),
                     np.max(np.abs(w_second - w_lsq) / w_second),
@@ -207,30 +209,12 @@ def test_triple_weight_agreement(rng):
     assert worst < 1e-9
 
 
-def _mp_christoffel(alphas, nodes, dps=40):
-    """1 / sum_{k<n} |phi_k(z_s)|^2 by the orthonormal recurrence in mpmath."""
-    with mpmath.workdps(dps):
-        out = []
-        for p in nodes:
-            z = mpmath.expj(mpmath.mpf(float(p)))
-            phi = phi_star = mpmath.mpc(1)
-            total = mpmath.mpf(1)
-            for a in alphas:
-                a = mpmath.mpc(complex(a))
-                norm = mpmath.sqrt(1 - abs(a) ** 2)
-                phi, phi_star = ((z * phi - a * phi_star) / norm,
-                                 (phi_star - mpmath.conj(a) * z * phi) / norm)
-                total += abs(phi) ** 2
-            out.append(float(1 / total))
-        return np.array(out)
-
-
 @pytest.mark.parametrize("a, n", [(-0.4, 128), (0.4j, 64)])
 def test_geronimus_weights_off_real_eta(a, n):
     # the second-kind formula returned rounding-level nonpositive weights here
     measure = sq.Geronimus(a)
     rule = sq.generate_rule(measure, n, 0, eta=1j)
-    ref = _mp_christoffel(sq.verblunsky_prefix(measure, n - 1), rule.nodes)
+    ref = mp_christoffel(sq.verblunsky_prefix(measure, n - 1), rule.nodes)
     assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
 
 
@@ -242,7 +226,7 @@ def test_geronimus_far_from_circle_no_overflow():
         warnings.simplefilter("error")
         rule = sq.generate_rule(measure, 1024, 0)
     sample = np.arange(0, 1024, 128)
-    ref = _mp_christoffel(sq.verblunsky_prefix(measure, 1023), rule.nodes[sample])
+    ref = mp_christoffel(sq.verblunsky_prefix(measure, 1023), rule.nodes[sample])
     assert np.max(np.abs(rule.weights[sample] - ref) / ref) < 1e-12
 
 
@@ -352,7 +336,7 @@ def test_phase_function_callable_monotone(rng):
 def test_phase_function_monotone_localized(measure, n):
     pf = sq.PhaseFunction(spec_for_rule(measure, n, 0))
     dense = np.linspace(0.0, 2 * np.pi, 64 * n + 1)
-    theta, dtheta, b = prufer_phase(pf.alphas, dense)
+    theta, dtheta, b, _ = prufer_phase(pf.alphas, dense)
     assert np.all(np.diff(theta) > 0)
     assert np.all(dtheta > 0)
     assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
@@ -398,7 +382,7 @@ def test_phase_table_matches_depth_first(measure, n):
     grid = np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1]
     phi_star2 = np.abs(sq.szego_eval(pf.alphas, np.exp(1j * grid)).phi_star) ** 2 \
         / np.prod(1 - np.abs(pf.alphas) ** 2)
-    k = 1 / (sq.christoffel_weights(pf.alphas, grid) * phi_star2)
+    k = 1 / (christoffel_weights(pf.alphas, grid) * phi_star2)
     assert np.max(np.abs(slopes / k - 1)) <= 1e-9
     # the table's phase is the argument of z Phi / Phi* from the recurrence itself
     zt = np.exp(1j * pf.phis)
@@ -422,9 +406,10 @@ def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
     calls.clear()
     sq.find_nodes(spec)
     grid, levels, check = calls[0], calls[1:-1], calls[-1]
+    # the last pass checks all n nodes and gives their weights
     assert grid == 2 * n + 1 and check == n
-    # one pass per Newton level, on the active nodes only; once few are left
-    # their brackets fill the pass up to the probe budget
+    # one pass per Newton level, on the active nodes only; a node that was
+    # bisected probes its bracket in the next one, within the probe budget
     assert levels[0] == n
     assert max(levels) <= max(n, rulegen.PROBE_BUDGET)
     # bisection from a grid cell of width pi/n to 4 ulps, plus a few Newton passes
@@ -435,7 +420,9 @@ def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
 def test_find_nodes_pass_counts_localized(monkeypatch):
     # the benchmark's localized rules at eta = 1 (e^{0.7i} for residual_scale):
     # with one point per pass for the last stiff nodes they took 249 passes,
-    # 48 of them for one rule; probing whole brackets takes 150 and 18.
+    # 48 of them for one rule; probing whole brackets once at most 16 nodes
+    # were active took 150 and 18, plus a weight pass per rule; probing every
+    # bisected node, with the weights from the check pass, takes 115 and 13.
     # A few passes of slack absorb libm rounding on other platforms.
     calls = []
 
@@ -453,8 +440,25 @@ def test_find_nodes_pass_counts_localized(monkeypatch):
         calls.clear()
         sq.generate_rule(measure, n, 0, eta=eta, node_at=node_at)
         per_rule.append(len(calls))
-    assert sum(per_rule) <= 150 + 5
-    assert max(per_rule) <= 18 + 2
+    assert sum(per_rule) <= 115 + 5
+    assert max(per_rule) <= 13 + 2
+
+
+def test_find_nodes_pass_count_geronimus_1024(monkeypatch):
+    # the stiff nodes at both gap edges kept more than 16 nodes active, so the
+    # former all-or-none probe switch stayed off and they bisected one step
+    # per pass: 20 passes. Probing every bisected node takes 16, the final
+    # pass included
+    calls = []
+
+    def spy(alphas, phi):
+        calls.append(np.size(phi))
+        return prufer_phase(alphas, phi)
+
+    monkeypatch.setattr(rulegen, "prufer_phase", spy)
+    rule = sq.generate_rule(sq.Geronimus(-0.6), 1024, 0, eta=1.0)
+    assert len(calls) <= 17
+    assert calls[-1] == rule.n
 
 
 @pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Geronimus(-0.4),
@@ -465,9 +469,9 @@ def test_phase_derivative_christoffel_identity(measure):
     alphas = build_modified_sequence(spec)
     phi = np.concatenate([sq.find_nodes(spec), np.linspace(0.0, 2 * np.pi, 257)])
     z = np.exp(1j * phi)
-    _, dtheta, _ = prufer_phase(alphas, phi)
+    _, dtheta, _, _ = prufer_phase(alphas, phi)
     phi_star2 = np.abs(sq.szego_eval(alphas, z).phi_star) ** 2 / np.prod(1 - np.abs(alphas) ** 2)
-    mu = sq.christoffel_weights(alphas, phi)
+    mu = christoffel_weights(alphas, phi)
     assert np.max(np.abs(dtheta * phi_star2 * mu - 1)) <= 1e-12
 
 
@@ -507,7 +511,7 @@ def test_stiff_node_within_ulps_of_root():
     spec = spec_for_rule(sq.Geronimus(0.4j), 128, 0)
     alphas = build_modified_sequence(spec)
     nodes = sq.find_nodes(spec)
-    mass = np.sum(sq.christoffel_weights(alphas, nodes))
+    mass = np.sum(christoffel_weights(alphas, nodes))
     assert abs(mass - 1) <= 1e-13
     j = int(np.argmin(np.abs(nodes - 0.7610127542247)))
     root = _mp_phase_root(alphas, spec.eta, nodes[j])
@@ -519,7 +523,7 @@ def test_geronimus_builds_past_absolute_residual():
     # polynomial residual 6.25e-02", a relative residual near 2e-20
     measure = sq.Geronimus(0.4j)
     rule = sq.generate_rule(measure, 128, 0, eta=np.exp(0.75j * np.pi))
-    ref = _mp_christoffel(sq.verblunsky_prefix(measure, 127), rule.nodes)
+    ref = mp_christoffel(sq.verblunsky_prefix(measure, 127), rule.nodes)
     assert np.max(np.abs(rule.weights - ref) / ref) < 1e-12
 
 
@@ -547,7 +551,7 @@ def test_node_errors_sees_moved_nodes(measure, n):
     spec = spec_for_rule(measure, n, 0)
     nodes = sq.find_nodes(spec)
     assert np.max(node_errors(spec, nodes)[0]) <= NODE_TOL
-    moved, _ = node_errors(spec, nodes + 1e-9)
+    moved = node_errors(spec, nodes + 1e-9)[0]
     assert np.min(moved) >= 0.9e-9
 
 
