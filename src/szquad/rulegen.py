@@ -7,22 +7,28 @@ The nodes are the zeros of the para-orthogonal polynomial
 
     T_n(z) = z*Phi~_{n-1}(z) + eta*Phi~*_{n-1}(z),
 
-where Phi~_{n-1} comes from the concatenated coefficient sequence. All
-zeros are simple and lie on the unit circle, where they solve
+where Phi~_{n-1} comes from the concatenated coefficient sequence. It
+splits as z*q_m*Phi_{n-m-1} + eta*q_m^* Phi^*_{n-m-1}, with Phi_{n-m-1}
+from the measure's coefficients and the inner factor q_m from
+beta = qm_recurrence_coeffs(tail, eta). All zeros are simple and lie on
+the unit circle, where they solve
 
-    theta(phi) = arg(-eta) + 2*pi*j,   theta = arg(z*Phi~_{n-1}/Phi~*_{n-1}),  z = e^{i phi},
+    Theta(phi) = theta_base + theta_beta - phi = arg(-eta) + 2*pi*j,   z = e^{i phi},
 
-for the lifted Prufer phase theta, strictly increasing with total increase
-2*pi*n over a full turn. They are found by Prufer phase + safeguarded
-Newton: one pass of the Schur map over a 2n+1 grid brackets every node,
-and Newton steps on theta, bisecting when a step leaves its bracket,
-converge the nodes still active, all of them in one pass. A pass over N
-coefficients costs about N*(4.3 us + 17 ns*points), so a node that Newton
-had to bisect probes its whole bracket in the next pass, within a budget
-of PROBE_BUDGET points per pass, and gains several bits per pass instead
-of one bisection step. The weights are the Christoffel numbers of the
-concatenated sequence at the nodes, prod_k r_k / theta' from the same
-pass of the Schur map that checks the nodes, positive by construction.
+for the lifted Prufer phases theta_base of z*Phi_{n-m-1}/Phi^*_{n-m-1}
+and theta_beta of z*q_m/q_m^*: Theta is strictly increasing with total
+increase 2*pi*n over a full turn (see `PhaseFunction` for why the finder
+solves this split phase rather than that of the concatenated sequence).
+They are found by Prufer phase + safeguarded Newton: one pass of the
+Schur map over a 2n+1 grid brackets every node, and Newton steps on
+Theta, bisecting when a step leaves its bracket, converge the nodes still
+active, all of them in one pass. A pass over N coefficients costs about
+N*(4.3 us + 17 ns*points), so a node that Newton had to bisect probes its
+whole bracket in the next pass, within a budget of PROBE_BUDGET points
+per pass, and gains several bits per pass instead of one bisection step.
+A last pass checks the nodes on the concatenated sequence itself and
+gives the weights, its Christoffel numbers at the nodes,
+prod_k r_k / theta', positive by construction.
 """
 
 from dataclasses import dataclass
@@ -126,24 +132,48 @@ def build_qm(tail, eta):
 
 
 class PhaseFunction:
-    """Lifted Prufer phase theta(phi) of the nodes polynomial on |z| = 1.
+    """Lifted phase Theta(phi) of the nodes polynomial on |z| = 1, split at q_m.
 
-    theta is the continuous argument of z*Phi~_{n-1}/Phi~*_{n-1}, strictly
-    increasing with theta(phi + 2pi) = theta(phi) + 2pi*n; the nodes solve
-    theta(phi) = arg(-eta) + 2pi*j. One `prufer_phase` pass samples it on a
-    2n+1 grid, whose seam is rolled to the grid point with the smallest
-    theta': `phis` runs over one full turn from there and `thetas` holds
-    the phase at those points.
+    T_n = z*q_m*Phi_{n-m-1} + eta*q_m^* Phi^*_{n-m-1} vanishes on the circle
+    where B_base * B_beta / z = -eta, with B_base = z*Phi_{n-m-1}/Phi^*_{n-m-1}
+    from the measure's coefficients `base` and B_beta = z*q_m/q_m^* from
+    beta = qm_recurrence_coeffs(tail, eta). So the nodes solve
+
+        Theta(phi) = theta_base + theta_beta - phi = arg(-eta) + 2pi*j
+
+    for the two lifted Prufer phases, with Theta' = theta_base' +
+    theta_beta' - 1 >= 1 and total increase 2pi*n. The tail coefficients,
+    at the end of the concatenated sequence, make its phase swing at the
+    scale of the node spacing; Theta keeps them apart in the short q_m
+    phase, so Newton converges in fewer passes. With m = 0 beta is empty
+    and Theta is the phase of the base sequence alone.
+
+    One pass samples Theta on a 2n+1 grid, whose seam is rolled to the
+    grid point with the smallest Theta': `phis` runs over one full turn
+    from there and `thetas` holds the phase at those points.
     """
 
     def __init__(self, spec):
         self.n = spec.n
-        self.alphas = build_modified_sequence(spec)
+        self.base = np.asarray(spec.base, dtype=complex)
+        self.beta = qm_recurrence_coeffs(spec.tail, spec.eta)
         grid = np.linspace(0.0, TWO_PI, 2 * self.n + 1)
-        theta, dtheta, _, _ = prufer_phase(self.alphas, grid)
+        theta, dtheta, _ = self.phase(grid)
         s = int(np.argmin(dtheta[:-1]))
         self.phis = np.concatenate([grid[s:-1], grid[:s + 1] + TWO_PI])
         self.thetas = np.concatenate([theta[s:-1], theta[:s + 1] + TWO_PI * self.n])
+
+    def phase(self, phi):
+        """(Theta, Theta', B) at the angles phi, with B = B_base * B_beta / z
+        the unimodular number whose argument Theta lifts: one `prufer_phase`
+        pass over base, and one over beta if m > 0."""
+        theta, dtheta, b, _ = prufer_phase(self.base, phi)
+        if self.beta.size:
+            theta_q, dtheta_q, b_q, _ = prufer_phase(self.beta, phi)
+            theta = theta + theta_q - phi
+            dtheta = dtheta + dtheta_q - 1.0
+            b = b * b_q * np.exp(-1j * phi)
+        return theta, dtheta, b
 
 
 def node_errors(spec, nodes):
@@ -177,29 +207,33 @@ def _narrow(lo, hi):
 def find_nodes(spec, weights=False):
     """Locate the n zeros of the nodes polynomial on the unit circle.
 
-    Prufer phase plus safeguarded Newton: the 2n+1 grid of `PhaseFunction`
-    brackets each target theta = arg(-eta) + 2pi*j, and Newton steps
-    phi <- phi - f/theta' run on the unconverged nodes only, bisecting
-    whenever a step leaves the bracket. The residual f is theta - target
-    until it is below pi/2, then the wrapped arg(-B eta^{-1}), which carries
-    no rounding from the lifted n*phi.
+    Prufer phase plus safeguarded Newton on the split phase Theta =
+    theta_base + theta_beta - phi of `PhaseFunction`, whose slope stays
+    flat where the tail makes that of the concatenated sequence swing. The
+    2n+1 grid brackets each target Theta = arg(-eta) + 2pi*j, and Newton
+    steps phi <- phi - f/Theta' run on the unconverged nodes only,
+    bisecting whenever a step leaves the bracket. The residual f is Theta - target
+    until it is below pi/2, then the wrapped arg(-B_base B_beta e^{-i phi}
+    eta^{-1}), which carries no rounding from the lifted n*phi.
 
-    Each pass evaluates all active nodes in one `prufer_phase` call, and a
-    call over N coefficients costs about N*(4.3 us + 17 ns*points): the
-    fixed part dominates up to some 256 points, so a pass on a few stiff
-    nodes costs nearly as much as one on all of them. So each of the b
-    nodes that the last pass bisected sends its iterate and k - 1 evenly
-    spaced interior points of its bracket into the next call, with
+    Each pass evaluates all active nodes in one `prufer_phase` call on the
+    base (and one on the m coefficients of beta), and a call over N
+    coefficients costs about N*(4.3 us + 17 ns*points): the fixed part
+    dominates up to some 256 points, so a pass on a few stiff nodes costs
+    nearly as much as one on all of them. So each of the b nodes that the
+    last pass bisected sends its iterate and k - 1 evenly spaced interior
+    points of its bracket into the next call, with
     k = min(PROBE_POINTS, (PROBE_BUDGET - other active nodes) // b), if
     k >= 2. Its new bracket is the tightest sign change among them, and its
     next iterate the Newton step from the engaged probe with the smallest
-    |f/theta'| if it lands inside, else the midpoint: at least log2(k) bits
+    |f/Theta'| if it lands inside, else the midpoint: at least log2(k) bits
     per pass. The other nodes carry one point: where Newton converges,
     probes would buy nothing for their cost.
 
-    A last pass checks every node and gives the Christoffel numbers there.
-    Returns the sorted node angles, or with weights=True the pair (nodes,
-    weights) in that order.
+    A last pass checks every node on the concatenated sequence, against
+    the nodes polynomial itself rather than the split solve, and gives the
+    Christoffel numbers there. Returns the sorted node angles, or with
+    weights=True the pair (nodes, weights) in that order.
     """
     n = spec.n
     eta = spec.eta
@@ -237,7 +271,7 @@ def find_nodes(spec, weights=False):
             interior = lo_a[probe, None] + (hi_a - lo_a)[probe, None] * (np.arange(1, k) / k)
             points = np.concatenate([p, interior.ravel()])
             t_points = np.concatenate([t, np.repeat(t[probe], k - 1)])
-        theta, dtheta, b, _ = prufer_phase(pf.alphas, points)
+        theta, dtheta, b = pf.phase(points)
         lifted = theta - t_points
         engaged = np.abs(lifted) < 0.5 * np.pi
         f = np.where(engaged, np.angle(-b * np.conj(eta)), lifted)

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedVariantError,
     ZerosNotInDiskError,
 )
-from .opuc_core import inverse_szego, prufer_phase, szego_constant, szego_eval
+from .opuc_core import inverse_szego, prufer_phase, szego_constant
 from .rulegen import QuadratureRule, _check_eta, generate_rule, qm_recurrence_coeffs
 
 P = np.polynomial.polynomial
@@ -487,11 +487,11 @@ def asymptotic_report(measure, n_list, m=0, tail=(), eta=1.0):
     reports = []
     for n in n_list:
         rule = generate_rule(measure, n, m, tail, eta)
-        z = np.exp(1j * rule.nodes)
         f_vals = np.asarray(measures.density_eval(measure, rule.nodes), dtype=float)
-        beta = qm_recurrence_coeffs(tail, rule.eta)
-        qb = szego_eval(beta, z, with_derivatives=True)
-        g_vals = 1.0 - (2.0 / n) * (z * qb.dphi_star / qb.phi_star).real
+        # g = 1 - (2/n) Re{z q_m*'/q_m*}, and on the circle 2 Re{z q_m*'/q_m*}
+        # = m + 1 - theta_beta' for the Prufer phase of q_m's coefficients
+        dtheta_q = prufer_phase(qm_recurrence_coeffs(tail, rule.eta), rule.nodes)[1]
+        g_vals = 1.0 - (m + 1 - dtheta_q) / n
         inv = 1.0 / (n * rule.weights)
         reports.append(AsymptoticReport(
             n=n, m=m, rule=rule, inv_n_mu=inv, f_values=f_vals, g_values=g_vals,

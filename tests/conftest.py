@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import szquad as sq
+from szquad import rulegen
 
 from oracles import nodes_polynomial
 
@@ -64,3 +65,17 @@ def random_rule_setup(rng, n_max=20, m_max=None, base_radius=0.6, tail_radius=0.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(sequence length, point count) of every `rulegen.prufer_phase` call, in order."""
+    calls = []
+    kernel = rulegen.prufer_phase
+
+    def spy(alphas, phi):
+        calls.append((np.size(alphas), np.size(phi)))
+        return kernel(alphas, phi)
+
+    monkeypatch.setattr(rulegen, "prufer_phase", spy)
+    return calls

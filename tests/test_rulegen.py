@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import mpmath
@@ -22,7 +23,7 @@ from szquad.rulegen import (
     spec_for_rule,
 )
 
-from conftest import companion_nodes, random_rule_setup
+from conftest import companion_nodes, random_disk_points, random_rule_setup
 from oracles import (
     ConditioningWarning,
     christoffel_weights,
@@ -145,7 +146,8 @@ def test_phase_total_increase(rng, measure, n):
     pf = sq.PhaseFunction(spec)
     assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     # the kernel's own winding over one turn from the seam
-    ends = prufer_phase(pf.alphas, np.array([pf.phis[0], pf.phis[0] + TWO_PI]))[0]
+    ends = prufer_phase(build_modified_sequence(spec),
+                        np.array([pf.phis[0], pf.phis[0] + TWO_PI]))[0]
     assert ends[1] - ends[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     assert len(pf.phis) == 2 * n + 1
     assert np.all(np.diff(pf.thetas) > 0)
@@ -320,15 +322,25 @@ def test_levinson_roundtrip_through_discrete_rule(rng):
 def test_phase_function_callable_monotone(rng):
     spec = ParaOrthogonalSpec([0.4, -0.2j], [0.5], np.exp(0.9j), 4, 1)
     pf = sq.PhaseFunction(spec)
+    alphas = build_modified_sequence(spec)
     dense = np.linspace(0.0, 2 * np.pi, 2000)
-    theta = prufer_phase(pf.alphas, dense)[0]
+    theta = prufer_phase(alphas, dense)[0]
     assert np.all(np.diff(theta) > -1e-12)
     assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * 4, abs=1e-8)
-    # matches the table at its own breakpoints
-    assert np.allclose(prufer_phase(pf.alphas, pf.phis)[0], pf.thetas, atol=1e-9)
+    # the table holds the split phase theta_base + theta_beta - phi at its
+    # own breakpoints, not the phase of the concatenated sequence
+    beta = rulegen.qm_recurrence_coeffs(spec.tail, spec.eta)
+    split = prufer_phase(pf.base, pf.phis)[0] + prufer_phase(beta, pf.phis)[0] - pf.phis
+    assert np.allclose(split, pf.thetas, atol=1e-9)
+    assert np.all(np.diff(pf.thetas) > 0)
+    # both phases meet the targets arg(-eta) + 2pi*j at the nodes
+    nodes = sq.find_nodes(spec)
+    target = np.angle(-spec.eta)
+    for got in (pf.phase(nodes)[0], prufer_phase(alphas, nodes)[0]):
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - target))))) < 1e-12
     # scalar call
-    assert prufer_phase(pf.alphas, 1.0)[0] == pytest.approx(
-        prufer_phase(pf.alphas, np.array([1.0]))[0][0])
+    assert prufer_phase(alphas, 1.0)[0] == pytest.approx(
+        prufer_phase(alphas, np.array([1.0]))[0][0])
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -336,12 +348,12 @@ def test_phase_function_callable_monotone(rng):
 def test_phase_function_monotone_localized(measure, n):
     pf = sq.PhaseFunction(spec_for_rule(measure, n, 0))
     dense = np.linspace(0.0, 2 * np.pi, 64 * n + 1)
-    theta, dtheta, b, _ = prufer_phase(pf.alphas, dense)
+    theta, dtheta, b, _ = prufer_phase(pf.base, dense)
     assert np.all(np.diff(theta) > 0)
     assert np.all(dtheta > 0)
     assert theta[-1] - theta[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     # theta lifts the argument of B = z Phi / Phi*, and b is B itself
-    ev = sq.szego_eval(pf.alphas, np.exp(1j * dense))
+    ev = sq.szego_eval(pf.base, np.exp(1j * dense))
     quotient = np.exp(1j * dense) * ev.phi / ev.phi_star
     assert np.max(np.abs(b - quotient)) < 1e-9
     assert np.max(np.abs(np.exp(1j * theta) - quotient)) < 1e-9
@@ -355,7 +367,7 @@ def _depth_first_table(pf):
     def point(p):
         z = complex(np.exp(1j * p))
         b, args, slope = z, 0.0, 1.0
-        for a in pf.alphas:
+        for a in pf.base:
             w = 1 - a.conjugate() * b
             args += np.arctan2(w.imag, w.real)
             slope = slope * (1 - abs(a) ** 2) / abs(w) ** 2 + 1
@@ -380,31 +392,27 @@ def test_phase_table_matches_depth_first(measure, n):
     assert pf.thetas[-1] - pf.thetas[0] == pytest.approx(2 * np.pi * n, abs=1e-9)
     # the seam sits at the flattest grid point, by theta' = K_{n-1} / |phi*_{n-1}|^2
     grid = np.linspace(0.0, TWO_PI, 2 * n + 1)[:-1]
-    phi_star2 = np.abs(sq.szego_eval(pf.alphas, np.exp(1j * grid)).phi_star) ** 2 \
-        / np.prod(1 - np.abs(pf.alphas) ** 2)
-    k = 1 / (christoffel_weights(pf.alphas, grid) * phi_star2)
+    phi_star2 = np.abs(sq.szego_eval(pf.base, np.exp(1j * grid)).phi_star) ** 2 \
+        / np.prod(1 - np.abs(pf.base) ** 2)
+    k = 1 / (christoffel_weights(pf.base, grid) * phi_star2)
     assert np.max(np.abs(slopes / k - 1)) <= 1e-9
     # the table's phase is the argument of z Phi / Phi* from the recurrence itself
     zt = np.exp(1j * pf.phis)
-    ev = sq.szego_eval(pf.alphas, zt)
+    ev = sq.szego_eval(pf.base, zt)
     assert np.max(np.abs(np.exp(1j * pf.thetas) - zt * ev.phi / ev.phi_star)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("measure", _LOCALIZED)
-def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
-    calls = []
-
-    def spy(alphas, phi):
-        calls.append(np.size(phi))
-        return prufer_phase(alphas, phi)
-
-    monkeypatch.setattr(rulegen, "prufer_phase", spy)
+def test_phase_table_probe_calls_per_level(measure, n, kernel_calls):
     spec = spec_for_rule(measure, n, 0)
     rulegen.PhaseFunction(spec)
-    assert calls == [2 * n + 1]   # the table is one pass over the grid
-    calls.clear()
+    assert kernel_calls == [(n - 1, 2 * n + 1)]   # the table is one pass over the grid
+    kernel_calls.clear()
     sq.find_nodes(spec)
+    # with m = 0 every pass runs on the measure's n - 1 coefficients alone
+    assert {length for length, _ in kernel_calls} == {n - 1}
+    calls = [points for _, points in kernel_calls]
     grid, levels, check = calls[0], calls[1:-1], calls[-1]
     # the last pass checks all n nodes and gives their weights
     assert grid == 2 * n + 1 and check == n
@@ -417,48 +425,91 @@ def test_phase_table_probe_calls_per_level(measure, n, monkeypatch):
     assert len(levels) <= bisections + 16
 
 
-def test_find_nodes_pass_counts_localized(monkeypatch):
+def test_find_nodes_pass_counts_localized(kernel_calls):
     # the benchmark's localized rules at eta = 1 (e^{0.7i} for residual_scale):
     # with one point per pass for the last stiff nodes they took 249 passes,
     # 48 of them for one rule; probing whole brackets once at most 16 nodes
     # were active took 150 and 18, plus a weight pass per rule; probing every
     # bisected node, with the weights from the check pass, takes 115 and 13.
     # A few passes of slack absorb libm rounding on other platforms.
-    calls = []
-
-    def spy(alphas, phi):
-        calls.append(np.size(phi))
-        return prufer_phase(alphas, phi)
-
-    monkeypatch.setattr(rulegen, "prufer_phase", spy)
     inputs = [(sq.Geronimus(a), n, 1.0, None) for a in (-0.6, -0.4, 0.4j) for n in (64, 128)]
     inputs += [(_LOCALIZED[2], n, 1.0, None) for n in (64, 128)]
     inputs += [(sq.Geronimus(0.6), 32, 1.0, 0.0),                    # winding_seam
                (sq.Geronimus(0.4j), 128, np.exp(0.7j), None)]        # residual_scale
     per_rule = []
     for measure, n, eta, node_at in inputs:
-        calls.clear()
+        kernel_calls.clear()
         sq.generate_rule(measure, n, 0, eta=eta, node_at=node_at)
-        per_rule.append(len(calls))
+        per_rule.append(len(kernel_calls))
     assert sum(per_rule) <= 115 + 5
     assert max(per_rule) <= 13 + 2
 
 
-def test_find_nodes_pass_count_geronimus_1024(monkeypatch):
+def test_find_nodes_pass_count_geronimus_1024(kernel_calls):
     # the stiff nodes at both gap edges kept more than 16 nodes active, so the
     # former all-or-none probe switch stayed off and they bisected one step
     # per pass: 20 passes. Probing every bisected node takes 16, the final
     # pass included
-    calls = []
-
-    def spy(alphas, phi):
-        calls.append(np.size(phi))
-        return prufer_phase(alphas, phi)
-
-    monkeypatch.setattr(rulegen, "prufer_phase", spy)
     rule = sq.generate_rule(sq.Geronimus(-0.6), 1024, 0, eta=1.0)
-    assert len(calls) <= 17
-    assert calls[-1] == rule.n
+    assert len(kernel_calls) <= 17
+    assert kernel_calls[-1] == (rule.n - 1, rule.n)
+
+
+def test_find_nodes_pass_count_tail_1024(kernel_calls):
+    # on the phase of the concatenated sequence the four tail coefficients
+    # made theta' swing at the scale of the node spacing: 11 Newton passes
+    # between the grid and the check. The split phase takes 2, each one call
+    # on the measure's 1019 coefficients and one on the 4 of q_m
+    tail = [0.31 - 0.12j, -0.22 + 0.27j, 0.05 + 0.41j, -0.38 - 0.09j]
+    rule = sq.generate_rule(sq.BernsteinSzego(0.45), 1024, 4, tail, eta=np.exp(0.9j))
+    assert len(kernel_calls) <= 7
+    passes, check = kernel_calls[:-1], kernel_calls[-1]
+    assert [length for length, _ in passes] == [1019, 4] * (len(passes) // 2)
+    assert passes[0] == (1019, 2 * rule.n + 1)
+    # the final check runs on the concatenated sequence
+    assert check == (rule.n - 1, rule.n)
+
+
+def test_find_nodes_m0_outputs_unchanged():
+    # with m = 0 the split phase is the base phase alone, one call per pass as
+    # before the split, so nodes and weights keep their bits (the digest was
+    # taken on the concatenated-phase finder, x86_64 with numpy 2.4)
+    rule = sq.generate_rule(sq.Geronimus(-0.6), 128, 0, eta=1.0)
+    digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+    assert digest == "8d95790ccdd1410b64132e100c3766792563446d59487982625dcfc9355d2737"
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_find_nodes_split_phase_random(rng, n):
+    # random smooth measures, tails and eta (or a pinned node): every node
+    # solves the concatenated-sequence equation to 4 ulps of 2pi. The tail
+    # radius shrinks like 1/sqrt(m) past m = 16, since a long dense random
+    # tail is a localized sequence, whose stiff nodes the forward final
+    # check cannot resolve
+    ulp = np.spacing(TWO_PI)
+    for m in (1, n // 4, n - 1):
+        for trial in range(3):
+            if trial == 0:
+                roots = random_disk_points(rng, int(rng.integers(1, 4)), 0.7)
+                measure = sq.BernsteinSzego(list(roots))
+            elif trial == 1:
+                measure = sq.ExplicitVerblunsky(list(random_disk_points(rng, 16, 0.3)))
+            else:
+                measure = sq.Lebesgue()
+            tail = random_disk_points(rng, m, 0.5 * min(1.0, (16 / m) ** 0.5))
+            eta = np.exp(2j * np.pi * rng.random())
+            node_at = float(TWO_PI * rng.random()) if trial == 2 else None
+            rule = sq.generate_rule(measure, n, m, tail, eta=eta, node_at=node_at)
+            spec = spec_for_rule(measure, n, m, tail, rule.eta)
+            assert rule.nodes.size == n and np.all(np.diff(rule.nodes) > 0)
+            assert np.max(node_errors(spec, rule.nodes)[0]) <= 4 * ulp
+            if node_at is not None:
+                assert np.min(np.abs(np.angle(np.exp(1j * (rule.nodes - node_at))))) <= 1e-12
+            if n <= 64:
+                gap = np.abs(rule.nodes - companion_nodes(spec))
+                assert np.max(np.minimum(gap, TWO_PI - gap)) <= 1e-12
+                w_split = weights_qm_formula(spec, rule.nodes)
+                assert np.max(np.abs(rule.weights - w_split) / w_split) <= 1e-10
 
 
 @pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Geronimus(-0.4),

@@ -408,6 +408,20 @@ def test_asymptotics_with_tail(rng):
     assert np.max(np.abs(reports[0].g_values - 1.0)) > 1e-3   # tail factor active
 
 
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_asymptotics_tail_factor_from_qm_phase(rng, m):
+    # g from theta_beta' matches the derivative form 1 - (2/n) Re{z q_m*'/q_m*}
+    n = 24
+    tail = 0.6 * np.exp(1j * rng.uniform(0, 2 * np.pi, m)) * rng.uniform(0.2, 1.0, m)
+    eta = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    rep = sq.asymptotic_report(sq.BernsteinSzego(0.5), [n], m=m, tail=tail, eta=eta)[0]
+    z = np.exp(1j * rep.rule.nodes)
+    qb = sq.szego_eval(rulegen.qm_recurrence_coeffs(tail, rep.rule.eta), z, with_derivatives=True)
+    g_old = 1.0 - (2.0 / n) * (z * qb.dphi_star / qb.phi_star).real
+    assert np.max(np.abs(rep.g_values - g_old)) <= 1e-13
+    assert np.max(np.abs(rep.g_values - 1.0)) > 1e-3
+
+
 def test_asymptotics_need_density():
     with pytest.raises(UnsupportedVariantError):
         sq.asymptotic_report(sq.ExplicitMoments([1, 0.5, 0.25]), [4])
