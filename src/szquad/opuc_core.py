@@ -19,6 +19,7 @@ Point evaluation always runs the recurrence directly (stable near |z| = 1);
 the coefficient vectors exist for round-trip tests and series work.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -235,6 +236,24 @@ def prufer_phase(alphas, phi):
     return tuple(v[:size].reshape(phi.shape)[()] for v in (theta, dtheta, b, mu))
 
 
+def blocked_powers(z, count):
+    """Rows z^0..z^{b-1} and rows z^0, z^b, ..., z^{b(b-1)} at the points z,
+    for the smallest b with b*b >= count: every power z^{bj+i} below count
+    is the product of row i of the first and row j of the second, so a sum
+    over count powers becomes one matrix product. Both by running products.
+    """
+    b = math.isqrt(count - 1) + 1
+
+    def powers(x):
+        out = np.empty((b, len(z)), dtype=complex)
+        out[0] = 1.0
+        out[1:] = x
+        return np.cumprod(out, axis=0)
+
+    low = powers(z)
+    return low, powers(low[-1] * z)
+
+
 def _shift(p):
     """Multiply a coefficient vector by z."""
     return np.concatenate(([0.0 + 0.0j], p))
@@ -342,23 +361,73 @@ def verblunsky_from_moments(c, n):
     return out
 
 
+def _cmv_diagonals(a, size):
+    """Rows 0..size-1 of the CMV matrix C = L*M of the coefficients `a`
+    (zero past the given ones) as five diagonals: out[i, t] = C[i, i + t - 2].
+
+    L = Theta_0 + Theta_2 + ..., M = 1 + Theta_1 + Theta_3 + ... (direct
+    sums), Theta_j = [[conj(a_j), rho_j], [rho_j, -a_j]] on rows j, j+1,
+    rho_j = (1 - |a_j|^2)^(1/2). Row i of the product reads
+
+        i even: [0, conj(a_i) rho_{i-1}, -a_{i-1} conj(a_i), rho_i conj(a_{i+1}), rho_i rho_{i+1}],
+        i odd:  [rho_{i-1} rho_{i-2}, -rho_{i-1} a_{i-2}, -a_{i-1} conj(a_i), -a_{i-1} rho_i, 0],
+
+    with a_{-1} = -1 and rho_{-1} = 0 standing for the leading 1 of M.
+    Entries whose column falls outside 0..size-1 are left in place; they
+    meet the zero padding of the vector they multiply.
+    """
+    # e[j + 2] = a_j and r[j + 2] = rho_j, for j = -2..size
+    e = np.zeros(size + 3, dtype=complex)
+    e[1] = -1.0
+    count = min(len(a), size + 1)
+    e[2:count + 2] = a[:count]
+    mod = np.abs(e)
+    r = np.sqrt((1.0 - mod) * (1.0 + mod))
+    r[1] = 0.0
+
+    def at(v, s):
+        """v at index i + s for the rows i = 0..size-1."""
+        return v[2 + s:2 + s + size]
+
+    even = np.arange(size) % 2 == 0
+    out = np.empty((size, 5), dtype=complex)
+    out[:, 0] = np.where(even, 0.0, at(r, -1) * at(r, -2))
+    out[:, 1] = at(r, -1) * np.where(even, np.conj(at(e, 0)), -at(e, -2))
+    out[:, 2] = -at(e, -1) * np.conj(at(e, 0))
+    out[:, 3] = at(r, 0) * np.where(even, np.conj(at(e, 1)), -at(e, -1))
+    out[:, 4] = np.where(even, at(r, 0) * at(r, 1), 0.0)
+    return out
+
+
 def moments_from_alphas(alphas, n):
     """Moments c_0..c_n of the measure whose recurrence coefficients start
     with `alphas` (taken as zero beyond the given entries).
 
-    Inverse of the Levinson pass: orthogonality <Phi_k, 1> = 0 determines
-    each new moment linearly from the previous ones.
+    c_k = (C^k)_00 for the CMV matrix C of the coefficients as given
+    (Cantero, Moral & Velazquez, LAA 362, 2003; Simon, OPUC vol. 1, ch. 4).
+    Only the corner A of size D = min(n, d) + 2 is used, d one past the
+    last nonzero coefficient, and (A^k)_00 = (C^k)_00 for k <= n exactly:
+    C is five-diagonal, so an entry past index n cannot reach row 0 within
+    n powers; and past d the matrix is the free CMV matrix, which carries
+    the odd entries outward and the even ones inward, so nothing that
+    leaves the corner returns. C is unitary and A a contraction, so the
+    powers do not amplify rounding, where the monomial coefficients of the
+    Szego recurrence grow like prod(1 + |a_k|). Each power is one row-wise
+    product of the five diagonals with a sliding window of the vector:
+    n products on a D-vector, independent of how many zeros follow.
     """
-    a = as_verblunsky(alphas)
-    # zphi[1:k+2] holds Phi_k, so zphi[:k+2] is z*Phi_k (zphi[0] stays 0)
-    zphi = np.zeros(n + 2, dtype=complex)
-    phi_star = np.zeros(n + 2, dtype=complex)
-    zphi[1] = phi_star[0] = 1.0
-    c = np.zeros(n + 1, dtype=complex)
+    a = as_verblunsky(alphas)[:n]
+    nonzero = np.flatnonzero(a)
+    size = (int(nonzero[-1]) + 1 if nonzero.size else 0) + 2
+    diag = _cmv_diagonals(a, size)
+    # two padded vectors in turn: A^{k-1} e_0 in one gives A^k e_0 in the other
+    buf = np.zeros((2, size + 4), dtype=complex)
+    buf[0, 2] = 1.0
+    steps = [(np.lib.stride_tricks.sliding_window_view(buf[i], 5), buf[1 - i, 2:-2])
+             for i in (0, 1)]
+    c = np.empty(n + 1, dtype=complex)
     c[0] = 1.0
-    for k in range(1, n + 1):
-        ak = a[k - 1] if k - 1 < len(a) else 0.0
-        zphi[1:k + 2], phi_star[:k + 1] = _szego_step(zphi[:k + 1], phi_star[:k + 1], ak)
-        # Phi_k is monic and orthogonal to 1: sum_j phi_j conj(c_j) = 0
-        c[k] = np.conj(-np.sum(zphi[1:k + 1] * np.conj(c[:k])))
+    for k, (window, out) in zip(range(1, n + 1), itertools.cycle(steps)):
+        np.einsum("ij,ij->i", diag, window, out=out)
+        c[k] = out[0]
     return c

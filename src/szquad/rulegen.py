@@ -45,6 +45,7 @@ from .errors import (
 )
 from .opuc_core import (
     as_verblunsky,
+    blocked_powers,
     prufer_phase,
     szego_coeffs,
     szego_eval,
@@ -204,6 +205,43 @@ def _narrow(lo, hi):
     return hi - lo <= 4 * np.spacing(hi)
 
 
+def _float_order(x):
+    """An integer that orders doubles as their values do (0.0 and -0.0 alike)."""
+    k = int(np.float64(x).view(np.int64))
+    return k if k >= 0 else -(k & (2 ** 63 - 1))
+
+
+def _from_float_order(k):
+    value = float(np.int64(abs(k)).view(np.float64))
+    return value if k >= 0 else -value
+
+
+def _pin_between(spec, lo, hi):
+    """A node_at angle for the pair of near-coincident nodes at lo <= hi.
+
+    Between two nodes the phase theta of the concatenated sequence rises by
+    2pi; where it is congruent to arg(eta), halfway, the boundary parameter
+    that pins a node is -eta, and the pinned rule's neighbours sit a phase
+    pi further out on either side. Near a mass point theta rises that far
+    within less than one ulp of the nodes, so the angle is found by
+    bisection over the doubles themselves, and reduced into [0, 2pi).
+    """
+    alphas = build_modified_sequence(spec)
+    t_lo, t_hi = (float(prufer_phase(alphas, x)[0]) for x in (lo, hi))
+    arg = float(np.angle(spec.eta))
+    centre = arg + TWO_PI * np.round(((t_lo + t_hi) / 2.0 - arg) / TWO_PI)
+    (a, t_a), (b, t_b) = (_float_order(lo), t_lo), (_float_order(hi), t_hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        t_mid = float(prufer_phase(alphas, _from_float_order(mid))[0])
+        if t_mid < centre:
+            a, t_a = mid, t_mid
+        else:
+            b, t_b = mid, t_mid
+    pin = float(np.mod(_from_float_order(a if centre - t_a <= t_b - centre else b), TWO_PI))
+    return 0.0 if pin >= TWO_PI else pin
+
+
 def find_nodes(spec, weights=False):
     """Locate the n zeros of the nodes polynomial on the unit circle.
 
@@ -316,10 +354,19 @@ def find_nodes(spec, weights=False):
     nodes[nodes >= TWO_PI] = 0.0   # mod of a tiny negative can round up to 2*pi
     order = np.argsort(nodes)
     nodes = nodes[order]
+    mu = mu[order]
     gaps = np.diff(np.concatenate([nodes, [nodes[0] + TWO_PI]]))
-    if np.min(gaps) <= NODE_GAP:
-        raise NodeCountError(f"expected {n} distinct nodes, got gaps down to {np.min(gaps):.3e}")
-    return (nodes, mu[order]) if weights else nodes
+    j = int(np.argmin(gaps))
+    if gaps[j] <= NODE_GAP:
+        k = (j + 1) % n
+        first, second = float(nodes[j]), float(nodes[k])
+        pin = _pin_between(spec, first - TWO_PI if k == 0 else first, second)
+        raise NodeCountError(
+            f"expected {n} distinct nodes: nodes at {first!r} and {second!r} rad are "
+            f"{gaps[j]:.3e} apart (NODE_GAP {NODE_GAP:.0e}), with Christoffel weights "
+            f"{mu[j]:.3e} and {mu[k]:.3e}; pin a node between them with node_at={pin!r}"
+        )
+    return (nodes, mu) if weights else nodes
 
 
 def _real_positive(mu, what):
@@ -378,9 +425,11 @@ class QuadratureRule:
             )
 
     def moments(self, k_max):
-        """Discrete moments sum_s mu_s e^{-ik phi_s}, k = 0..k_max."""
-        k = np.arange(k_max + 1)
-        return np.exp(-1j * np.outer(k, self.nodes)) @ self.weights
+        """Discrete moments sum_s mu_s e^{-ik phi_s}, k = 0..k_max: with
+        k = bj + i, one (b x n) @ (n x b) product of blocked powers of
+        e^{-i phi_s}, b = ceil(sqrt(k_max + 1))."""
+        low, high = blocked_powers(np.exp(-1j * self.nodes), k_max + 1)
+        return ((high * self.weights) @ low.T).ravel()[:k_max + 1]
 
     def to_dict(self):
         return {

@@ -14,7 +14,6 @@ a finite trigonometric polynomial with moment coefficients. Everything else
 (weight recovery, zero separation, series matching) builds on that.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedVariantError,
     ZerosNotInDiskError,
 )
-from .opuc_core import inverse_szego, prufer_phase, szego_constant
+from .opuc_core import blocked_powers, inverse_szego, prufer_phase, szego_constant
 from .rulegen import QuadratureRule, _check_eta, generate_rule, qm_recurrence_coeffs
 
 P = np.polynomial.polynomial
@@ -237,24 +236,16 @@ def _kernel_poly(nodes, t_poly, c):
     return beta, phi_c
 
 
-def _powers(x, b):
-    """Rows x^0, x^1, ..., x^{b-1}."""
-    out = np.empty((b, len(x)), dtype=complex)
-    out[0] = 1.0
-    out[1:] = x
-    return np.cumprod(out, axis=0)
-
-
 def _poly_values(coefs, z):
     """Values at z of the polynomials in the rows of coefs (ascending). With
     b*b >= the length, p(z) = sum_j z^{bj} sum_i c_{bj+i} z^i: one matrix
     product with z^0..z^{b-1}, then a sum weighted by z^{bj}."""
     k, d = coefs.shape
-    b = math.isqrt(d - 1) + 1
+    low, high = blocked_powers(z, d)
+    b = len(low)
     pad = np.zeros((k, b * b), dtype=complex)
     pad[:, :d] = coefs
-    low = _powers(z, b)
-    return np.sum((pad.reshape(k, b, b) @ low) * _powers(low[-1] * z, b), axis=1)
+    return np.sum((pad.reshape(k, b, b) @ low) * high, axis=1)
 
 
 def _node_distance(psi, nodes):

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from szquad.opuc_core import prufer_phase
 from szquad.rulegen import ParaOrthogonalSpec, spec_for_rule
 
 from conftest import atom_moments, grid_moments, random_disk_points
-from oracles import christoffel_weights, mp_christoffel, wronskian_residual
+from oracles import christoffel_weights, mp_christoffel, mp_moments, wronskian_residual
 
 P = np.polynomial.polynomial
 
@@ -258,27 +260,59 @@ def _levinson_reference(c, n):
     return out
 
 
-def _moments_reference(alphas, n):
-    """The inverse loop on fresh, growing arrays."""
-    phi = phi_star = np.array([1.0 + 0.0j])
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    for k in range(1, n + 1):
-        phi, phi_star = _grown_step(phi, phi_star, alphas[k - 1] if k - 1 < len(alphas) else 0.0)
-        c[k] = np.conj(-np.sum(phi[:-1] * np.conj(c[:k])))
-    return c
-
-
 @pytest.mark.parametrize("n", [23, 63])
 def test_levinson_in_place_bit_identical(rng, n):
     c = sq.moments_from_alphas(random_disk_points(rng, n, radius=0.6), n)
     assert np.array_equal(sq.verblunsky_from_moments(c, n), _levinson_reference(c, n))
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_moments_in_place_bit_identical(rng, n):
-    alphas = random_disk_points(rng, n - 8, radius=0.6)   # zeros past the given entries
-    assert np.array_equal(sq.moments_from_alphas(alphas, n), _moments_reference(alphas, n))
+# the monomial Szego loop these moments replaced erred by 1.3e-3 on
+# Geronimus(-0.6) at n = 64 and by 2e4 to 7e17 on the others at n = 128
+@pytest.mark.parametrize("a", [0.6, -0.6, 0.4j, 0.3 + 0.4j])
+def test_moments_match_mp_oracle_geronimus(a):
+    alphas = np.full(128, a)
+    assert np.max(np.abs(sq.moments_from_alphas(alphas, 128) - mp_moments(alphas, 128))) <= 2e-14
+
+
+def _unimodular_phases(rng, size, modulus):
+    return modulus * np.exp(2j * np.pi * rng.random(size))
+
+
+def test_moments_match_mp_oracle_dense_complex(rng):
+    # complex coefficients: conjugated CMV parameters err by about 1 here
+    for size in (64, 256):
+        alphas = _unimodular_phases(rng, size, 0.6)
+        ref = mp_moments(alphas, size)
+        assert np.max(np.abs(sq.moments_from_alphas(alphas, size) - ref)) <= 2e-14
+    # n below the last nonzero coefficient: the corner is cut at n + 2
+    for n in (0, 1, 2, 100):
+        assert np.max(np.abs(sq.moments_from_alphas(alphas, n) - ref[:n + 1])) <= 2e-14
+
+
+@pytest.mark.parametrize("size, modulus", [(16, 0.7), (32, 0.9)])
+def test_moments_match_mp_oracle_followed_by_zeros(rng, size, modulus):
+    alphas = _unimodular_phases(rng, size, modulus)
+    c = sq.moments_from_alphas(alphas, 128)
+    assert np.max(np.abs(c - mp_moments(alphas, 128))) <= 2e-14
+    # the same coefficients with explicit zeros after them
+    assert np.array_equal(c, sq.moments_from_alphas(np.pad(alphas, (0, 112)), 128))
+
+
+def test_moments_edge_cases():
+    assert np.array_equal(sq.moments_from_alphas([0.3 - 0.4j], 0), [1.0])
+    assert sq.moments_from_alphas([0.3 - 0.4j, 0.5], 1) == pytest.approx([1.0, 0.3 + 0.4j], abs=1e-16)
+    lebesgue = np.zeros(9, dtype=complex)
+    lebesgue[0] = 1.0
+    assert np.array_equal(sq.moments_from_alphas([], 8), lebesgue)
+    assert np.array_equal(sq.moments_from_alphas(np.zeros(5), 8), lebesgue)
+
+
+def test_moments_dense_1024_without_warning():
+    # the monomial loop overflowed here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = sq.moments_from_alphas(np.full(1024, -0.6), 1024)
+    assert np.all(np.isfinite(c)) and np.max(np.abs(c)) <= 1.0 + 1e-12
 
 
 def test_extracted_polynomials_orthogonal_under_toeplitz_product(rng):

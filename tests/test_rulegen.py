@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import mpmath
@@ -11,6 +12,7 @@ from szquad.errors import (
     ArityError,
     InternalConsistencyError,
     InvalidCoefficientsError,
+    NodeCountError,
     PositivityViolationError,
 )
 from szquad.opuc_core import moments_from_alphas, prufer_phase
@@ -618,3 +620,70 @@ def test_vandermonde_lebesgue_uniform():
     c[0] = 1.0
     w = weights_vandermonde_oracle(rule.nodes, c, 4)
     assert np.allclose(w, 0.2, atol=1e-13)
+
+
+# --- rule moments ------------------------------------------------------------
+
+def test_rule_moments_against_mp_sums():
+    rule = sq.generate_rule(sq.BernsteinSzego(0.5), 256, 0, eta=np.exp(0.4j))
+    disc = rule.moments(255)
+    ks = [0, 1, 17, 100, 200, 255]
+    with mpmath.workdps(30):
+        # the double angles taken exactly
+        ref = [complex(mpmath.fsum(mpmath.mpf(float(w)) * mpmath.expj(-k * mpmath.mpf(float(p)))
+                                   for w, p in zip(rule.weights, rule.nodes))) for k in ks]
+    assert np.max(np.abs(disc[ks] - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("measure", [sq.BernsteinSzego(0.5), sq.Lebesgue()], ids=["bs", "lebesgue"])
+def test_rule_moments_blocked_against_direct_4096(measure):
+    rule = sq.generate_rule(measure, 4096, 0)
+    ks = np.arange(0, 4096, 7)
+    disc = rule.moments(4095)[ks]
+    direct = np.exp(-1j * np.outer(ks, rule.nodes)) @ rule.weights
+    if isinstance(measure, sq.Lebesgue):
+        # both forms err by about 1.7e-13 against c_k = 0 here, differently
+        exact = (ks == 0).astype(float)
+        assert np.max(np.abs(disc - exact)) <= 1.1 * np.max(np.abs(direct - exact))
+    else:
+        assert np.max(np.abs(disc - direct)) <= 5e-14
+
+
+# --- repeatability -------------------------------------------------------------
+
+def test_generate_rule_and_moments_repeat_bit_for_bit():
+    inputs = [(sq.Geronimus(0.4j), 64, 0, (), 1.0),
+              (sq.BernsteinSzego([0.5, -0.2j]), 48, 3, (0.2, -0.1j, 0.3 + 0.3j), np.exp(0.9j))]
+
+    def run():
+        out = []
+        for measure, n, m, tail, eta in inputs:
+            rule = sq.generate_rule(measure, n, m, tail, eta=eta)
+            out += [rule.nodes, rule.weights, sq.moments(measure, n), rule.moments(n)]
+            # other calls in between, at other sizes
+            sq.generate_rule(sq.Geronimus(-0.6), 64, 0)
+            sq.moments(sq.Geronimus(0.6), 200)
+        return out
+
+    first, second = run(), run()
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
+# --- near-coincident nodes -------------------------------------------------------
+
+@pytest.mark.parametrize("a, n", [(0.6, 64), (0.6, 128), (0.6, 256), (0.6, 512),
+                                  (0.3, 128), (0.3, 256), (0.3, 384), (0.3, 512)])
+def test_close_pair_error_names_working_pin(a, n):
+    # at eta = 1 two nodes of these rules fall within one ulp of the mass
+    # point at phi = 0; a node pinned between them builds the rule
+    measure = sq.Geronimus(a)
+    with pytest.raises(NodeCountError) as info:
+        sq.generate_rule(measure, n, 0)
+    found = re.search(r"nodes at (\S+) and (\S+) rad are (\S+) apart .* Christoffel weights "
+                      r"(\S+) and (\S+); .* node_at=(\S+)$", str(info.value))
+    assert found, str(info.value)
+    first, second, gap, *_, pin = (float(v) for v in found.groups())
+    assert gap <= rulegen.NODE_GAP and 0.0 <= pin < TWO_PI
+    rule = sq.generate_rule(measure, n, 0, node_at=pin)
+    assert np.min(np.abs(np.angle(np.exp(1j * (rule.nodes - pin))))) <= 1e-12
+    assert np.min(np.diff(rule.nodes)) > rulegen.NODE_GAP

@@ -42,6 +42,14 @@ def test_exactness_generic_equality(rng):
     assert hits >= 95
 
 
+@pytest.mark.parametrize("a", [-0.6, 0.4j])
+def test_exactness_full_degree_on_geronimus(a):
+    # against the monomial-loop moments these correct rules read 109 and 82
+    measure = sq.Geronimus(a)
+    rule = sq.generate_rule(measure, 128, 0)
+    assert sq.check_exactness(rule, sq.moments(measure, 127), 127).precise_degree == 127
+
+
 def test_exactness_report_record_fields():
     rule = sq.generate_rule(sq.Lebesgue(), 2, 0)
     rec = sq.check_exactness(rule, sq.moments(sq.Lebesgue(), 3), 3).to_record()
